@@ -9,8 +9,12 @@
 // Useful for quick what-if studies without writing code: pick a workload,
 // a virtual machine shape and a balancing strategy, and read the resulting
 // virtual CPU/GPU times and balancer behaviour.
+//
+// Exit codes: 0 on success (or no subcommand), 1 for an unknown subcommand,
+// 2 when an option is invalid (the error and the usage go to stderr).
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "core/simulation.hpp"
@@ -35,6 +39,7 @@ long flag_long(int argc, char** argv, const char* key, long fallback) {
 }
 
 ParticleSet make_distribution(const std::string& dist, long n, Rng& rng) {
+  if (n < 1) throw std::invalid_argument("--n must be >= 1");
   if (dist == "uniform") return uniform_cube(n, rng, {0, 0, 0}, 1.0);
   if (dist == "collision") {
     PlummerOptions opt;
@@ -164,18 +169,29 @@ int cmd_tree(int argc, char** argv) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const std::string cmd = argc > 1 ? argv[1] : "";
-  if (cmd == "solve") return cmd_solve(argc, argv);
-  if (cmd == "simulate") return cmd_simulate(argc, argv);
-  if (cmd == "tree") return cmd_tree(argc, argv);
-  std::printf(
+void print_usage(std::FILE* out) {
+  std::fprintf(
+      out,
       "usage: afmm_cli <solve|simulate|tree> [options]\n"
       "  solve    --dist plummer|uniform|collision --n N --s S --order P\n"
       "           --cores C --gpus G --kernel gravity|stokeslet\n"
       "  simulate --dist ... --n N --steps K --strategy static|enforce|full\n"
       "  tree     --dist ... --n N\n");
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const std::string cmd = argc > 1 ? argv[1] : "";
+  try {
+    if (cmd == "solve") return cmd_solve(argc, argv);
+    if (cmd == "simulate") return cmd_simulate(argc, argv);
+    if (cmd == "tree") return cmd_tree(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    print_usage(stderr);
+    return 2;
+  }
+  print_usage(stdout);
   return cmd.empty() ? 0 : 1;
 }

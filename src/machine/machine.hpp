@@ -68,8 +68,8 @@ struct CpuModelConfig {
 };
 
 // How a step's virtual timeline is computed. kAuto resolves once per process
-// from the AFMM_OVERLAP environment variable ("1" or "on" selects kOn), the
-// same pattern as BuildStrategy/AFMM_TREE_BUILD.
+// from the AFMM_OVERLAP environment variable ("1" or "on" selects kOn), so
+// whole test suites can run either way without code changes.
 enum class OverlapMode : std::uint8_t { kAuto = 0, kOff = 1, kOn = 2 };
 OverlapMode resolved_overlap_mode(OverlapMode mode);
 

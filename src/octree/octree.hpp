@@ -28,39 +28,16 @@
 
 namespace afmm {
 
-// How build() constructs the tree. Both strategies produce BIT-IDENTICAL
-// results -- the same node array (indices, geometry, spans), permutation and
-// sorted positions -- so every consumer (rebin, enforce_S, collapse /
-// push_down, the interaction-list cache, the auditor, checkpoints) works
-// unchanged and forces cannot drift by one ULP between them.
-//
-//   kPointer : recursive partition of the body array, one counting pass and
-//              one scatter pass per level (the original builder).
-//   kMorton  : 63-bit Morton keys via bisection descent, then an
-//              early-terminating MSD radix bucketing of (key, perm) pairs
-//              whose bucket boundaries are the node spans -- 12 bytes moved
-//              per active body per level vs the pointer build's 28, with
-//              every frontier cell partitioned data-parallel.
-//   kAuto    : resolve from the AFMM_TREE_BUILD environment variable
-//              ("morton" selects kMorton, anything else kPointer), so whole
-//              test/bench suites flip strategy without code changes.
-enum class BuildStrategy : std::uint8_t { kAuto = 0, kPointer = 1, kMorton = 2 };
-
-// Resolves kAuto against the environment (read once per process).
-BuildStrategy resolved_build_strategy(BuildStrategy s);
-
 struct TreeConfig {
-  int leaf_capacity = 64;   // S: subdivide a node iff it holds > S bodies
-  int max_depth = 20;       // hard depth cap; must be <= 21 (Morton resolution)
+  int leaf_capacity = 64;   // S >= 1: subdivide a node iff it holds > S bodies
+  int max_depth = 20;       // hard depth cap; must be in [0, 21]
   Vec3 root_center{0.5, 0.5, 0.5};
   double root_half = 0.5;   // simulation cube is center +- half in each dim
-  bool parallel_build = true;
-  BuildStrategy build_strategy = BuildStrategy::kAuto;
 };
 
 // Center of `octant` (bit 0/1/2 = x/y/z upper half) of the box (center,
-// half). Both builders and check_invariants derive child geometry through
-// this one expression, so centers agree bit-for-bit.
+// half). build(), build_uniform(), push_down() and check_invariants derive
+// child geometry through this one expression, so centers agree bit-for-bit.
 inline Vec3 child_box_center(const Vec3& c, double half, int octant) {
   const double q = half * 0.5;
   return {c.x + ((octant & 1) ? q : -q), c.y + ((octant & 2) ? q : -q),
@@ -98,15 +75,15 @@ class AdaptiveOctree {
   // Builds the adaptive decomposition of `positions` with leaf capacity
   // config.leaf_capacity. The original array is not modified; the tree keeps
   // a permutation (tree order -> original index) plus sorted positions.
-  // Dispatches on config.build_strategy (see BuildStrategy); both strategies
-  // yield bit-identical trees, including on non-finite positions (NaN
-  // descends to the low octant at every level under both -- the resilience
-  // loop needs corrupted steps to build, audit-fail, then roll back).
-  // Throws std::invalid_argument when config.max_depth is outside [0, 21].
+  // Non-finite positions still build (NaN descends to the low octant at
+  // every level -- the resilience loop needs corrupted steps to build,
+  // audit-fail, then roll back). Throws std::invalid_argument when
+  // config.leaf_capacity < 1 or config.max_depth is outside [0, 21].
   void build(std::span<const Vec3> positions, const TreeConfig& config);
 
   // Builds a fixed-depth (uniform FMM) decomposition: every leaf at `depth`.
-  // `depth` must lie in [0, config.max_depth] (and max_depth in [0, 21]).
+  // `depth` must lie in [0, config.max_depth]; config is validated as in
+  // build().
   void build_uniform(std::span<const Vec3> positions, const TreeConfig& config,
                      int depth);
 
@@ -213,12 +190,6 @@ class AdaptiveOctree {
   void bump_structure();
   void bump_content();
 
-  // The pointer-free build path (octree/morton_build.cpp): radix-sort bodies
-  // by descent Morton key, derive node spans level-synchronously by key
-  // arithmetic, emit the identical preorder node array the recursive build
-  // produces. Shares bump_structure() / member layout with build().
-  void build_morton_impl(std::span<const Vec3> positions);
-
   void partition_range(std::uint32_t begin, std::uint32_t end,
                        const Vec3& center, std::uint32_t bucket_begin[9]);
   void rebin_node(int node);
@@ -233,11 +204,6 @@ class AdaptiveOctree {
   std::vector<std::uint32_t> perm_;
   std::vector<Vec3> scratch_pos_;
   std::vector<std::uint32_t> scratch_perm_;
-  // Morton-build working set (octree/morton_build.cpp): key array plus its
-  // partition scratch. Kept across builds so steady-state rebuilds -- the
-  // dynamic-balancing loop rebuilds every few steps -- allocate nothing.
-  std::vector<std::uint64_t> morton_keys_;
-  std::vector<std::uint64_t> morton_key_scratch_;
 };
 
 // Smallest cube centered on the centroid of `positions` containing them all

@@ -169,8 +169,11 @@ void put_tree(ByteWriter& w, const OctreeSnapshot& t) {
   w.i32(t.config.max_depth);
   put_vec3(w, t.config.root_center);
   w.f64(t.config.root_half);
-  w.u8(t.config.parallel_build ? 1 : 0);
-  w.u8(static_cast<std::uint8_t>(t.config.build_strategy));
+  // Two retired v5 bytes: the parallel-build flag (written as 1) and the
+  // build-strategy tag (written as the pointer builder, 1). get_tree
+  // bounds-checks and discards them, so older v5 files still load.
+  w.u8(1);
+  w.u8(1);
   w.u64(t.nodes.size());
   for (const auto& n : t.nodes) {
     put_vec3(w, n.center);
@@ -198,11 +201,8 @@ bool get_tree(ByteReader& r, OctreeSnapshot& t) {
   t.config.max_depth = r.i32();
   t.config.root_center = get_vec3(r);
   t.config.root_half = r.f64();
-  t.config.parallel_build = r.u8() != 0;
-  const std::uint8_t strategy = r.u8();
-  if (strategy > static_cast<std::uint8_t>(BuildStrategy::kMorton))
-    return false;
-  t.config.build_strategy = static_cast<BuildStrategy>(strategy);
+  r.u8();                        // retired parallel-build flag
+  if (r.u8() > 2) return false;  // retired build-strategy tag (0..2)
   const std::uint64_t num_nodes = r.u64();
   // Conservative lower bound on a serialized node keeps a corrupt count from
   // allocating unbounded memory.
@@ -223,15 +223,17 @@ bool get_tree(ByteReader& r, OctreeSnapshot& t) {
   if (num_pos * sizeof(Vec3) > r.remaining()) return false;
   t.sorted_pos.resize(num_pos);
   {
+    // An empty vector's data() may be null, and memcpy(nullptr, ..., 0) is
+    // undefined; the shard store's body-free skeleton tree hits this.
     const auto raw = r.bytes(num_pos * sizeof(Vec3));
-    std::memcpy(t.sorted_pos.data(), raw.data(), raw.size());
+    if (!raw.empty()) std::memcpy(t.sorted_pos.data(), raw.data(), raw.size());
   }
   const std::uint64_t num_perm = r.u64();
   if (num_perm * sizeof(std::uint32_t) > r.remaining()) return false;
   t.perm.resize(num_perm);
   {
     const auto raw = r.bytes(num_perm * sizeof(std::uint32_t));
-    std::memcpy(t.perm.data(), raw.data(), raw.size());
+    if (!raw.empty()) std::memcpy(t.perm.data(), raw.data(), raw.size());
   }
   return r.ok();
 }

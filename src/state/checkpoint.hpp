@@ -17,7 +17,7 @@
 //
 // A SimCheckpoint captures EVERYTHING a trajectory depends on: bodies (and
 // the solved accelerations/potentials they will be kicked with), the
-// adaptive octree bit-for-bit (structure, collapse flags, Morton-ordered
+// adaptive octree bit-for-bit (structure, collapse flags, tree-ordered
 // spans, permutation), the load balancer's full state machine (LbState,
 // Search bracket, best time, EWMA cost coefficients), the machine health
 // registry + fault epoch, the fault injector's replay cursor, the last
@@ -49,8 +49,9 @@
 namespace afmm {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x4D4D4641;  // "AFMM"
-// v2: tree section gains config.build_strategy and stores sorted_pos / perm
-// as single flat byte runs (bulk memcpy on both ends).
+// v2: tree section gains a build-strategy byte (retired; still written and
+// range-checked) and stores sorted_pos / perm as single flat byte runs (bulk
+// memcpy on both ends).
 // v3: section CRC covers id + size + payload (not payload alone), and
 // trailing bytes after the last declared section reject the file -- a flipped
 // section-id or section-count byte can no longer slip past validation.

@@ -28,13 +28,11 @@ namespace afmm::golden {
 
 inline constexpr int kGoldenSteps = 12;
 
-inline SimulationConfig golden_config(
-    BuildStrategy strategy = BuildStrategy::kAuto) {
+inline SimulationConfig golden_config() {
   SimulationConfig cfg;
   cfg.fmm.order = 3;
   cfg.tree.root_center = {0.5, 0.5, 0.5};
   cfg.tree.root_half = 0.5;
-  cfg.tree.build_strategy = strategy;
   cfg.balancer.initial_S = 48;
   cfg.dt = 1e-3;
   cfg.faults.gpu_throttle(3, 0, 0.4).gpu_loss(6, 0).gpu_recovery(9, 0);
@@ -45,8 +43,7 @@ inline SimulationConfig golden_config(
   return cfg;
 }
 
-inline GravitySimulation golden_simulation(
-    BuildStrategy strategy = BuildStrategy::kAuto) {
+inline GravitySimulation golden_simulation() {
   Rng rng(2026);
   auto bodies = uniform_cube(400, rng, {0.5, 0.5, 0.5}, 0.5);
   NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
@@ -55,7 +52,7 @@ inline GravitySimulation golden_simulation(
   // series this file fingerprints. (A separate test proves trajectories are
   // bit-identical either way.)
   node.set_overlap(OverlapMode::kOff);
-  return GravitySimulation(golden_config(strategy), std::move(node),
+  return GravitySimulation(golden_config(), std::move(node),
                            std::move(bodies));
 }
 
@@ -106,8 +103,8 @@ inline std::string dump_record(const StepRecord& r) {
 
 // Runs the scenario and serializes it; the golden file holds this string as
 // produced by the pre-refactor GravitySimulation.
-inline std::string golden_dump(BuildStrategy strategy = BuildStrategy::kAuto) {
-  GravitySimulation sim = golden_simulation(strategy);
+inline std::string golden_dump() {
+  GravitySimulation sim = golden_simulation();
   std::string out = "golden gravity v1\n";
   for (int i = 0; i < kGoldenSteps; ++i) out += dump_record(sim.step());
 

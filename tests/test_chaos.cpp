@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 
 #include "balance/load_balancer.hpp"
 #include "core/fmm_solver.hpp"
@@ -116,97 +115,6 @@ TEST(Chaos, AllGpusLostForcesAreBitForBitIdentical) {
     EXPECT_EQ(a.gradient[i].x, b.gradient[i].x);
     EXPECT_EQ(a.gradient[i].y, b.gradient[i].y);
     EXPECT_EQ(a.gradient[i].z, b.gradient[i].z);
-  }
-}
-
-// Chaos under the Morton build: the fault/recovery machinery must be
-// strategy-agnostic. The same GPU-loss schedule (and the same corruption +
-// rollback) replayed under an EXPLICIT pointer vs Morton build strategy has
-// to produce bit-identical trajectories. TreeConfig::build_strategy is set
-// directly here -- the AFMM_TREE_BUILD env override is resolved once per
-// process, so it cannot flip strategies within one test binary.
-TEST(Chaos, FaultScheduleIsBitIdenticalUnderMortonBuild) {
-  Rng rng(23);
-  const auto set = uniform_cube(3000, rng, {0.5, 0.5, 0.5}, 0.5);
-
-  auto run_with = [&](BuildStrategy strategy) {
-    SimulationConfig cfg;
-    cfg.balancer.initial_S = 48;
-    cfg.tree.build_strategy = strategy;
-    cfg.faults.gpu_loss(2, 0).transfer_faults(4, 0.9, 2).gpu_loss(7, 1);
-    NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
-    auto sim = std::make_unique<GravitySimulation>(cfg, node, set);
-    auto records = sim->run(10);
-    return std::pair{std::move(sim), std::move(records)};
-  };
-
-  const auto [pointer_sim, pointer_recs] = run_with(BuildStrategy::kPointer);
-  const auto [morton_sim, morton_recs] = run_with(BuildStrategy::kMorton);
-
-  ASSERT_EQ(pointer_recs.size(), morton_recs.size());
-  for (std::size_t i = 0; i < pointer_recs.size(); ++i) {
-    const auto& p = pointer_recs[i];
-    const auto& m = morton_recs[i];
-    EXPECT_EQ(p.compute_seconds, m.compute_seconds) << "step " << i;
-    EXPECT_EQ(p.S, m.S) << "step " << i;
-    EXPECT_EQ(p.faults_fired, m.faults_fired) << "step " << i;
-    EXPECT_EQ(p.alive_gpus, m.alive_gpus) << "step " << i;
-    EXPECT_EQ(p.cpu_fallback, m.cpu_fallback) << "step " << i;
-    EXPECT_EQ(p.transfer_retries, m.transfer_retries) << "step " << i;
-    EXPECT_EQ(p.stats.p2p_interactions, m.stats.p2p_interactions)
-        << "step " << i;
-  }
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    EXPECT_EQ(pointer_sim->bodies().positions[i],
-              morton_sim->bodies().positions[i]);
-    EXPECT_EQ(pointer_sim->bodies().velocities[i],
-              morton_sim->bodies().velocities[i]);
-  }
-}
-
-TEST(Chaos, RollbackRecoveryIsBitIdenticalUnderMortonBuild) {
-  Rng rng(29);
-  const auto set = uniform_cube(2000, rng, {0.5, 0.5, 0.5}, 0.5);
-
-  // Corruption + audit-triggered rollback + replay: the rollback rebuilds
-  // the tree with the configured strategy, so this exercises the Morton
-  // builder inside the recovery path itself.
-  auto run_with = [&](BuildStrategy strategy) {
-    SimulationConfig cfg;
-    cfg.balancer.initial_S = 48;
-    cfg.tree.build_strategy = strategy;
-    cfg.resilience.audit.interval = 1;
-    cfg.resilience.checkpoint_interval = 3;
-    NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
-    auto sim = std::make_unique<GravitySimulation>(cfg, node, set);
-    sim->run(5);
-    sim->corrupt_force_for_test(7);
-    auto rec = sim->step();
-    EXPECT_TRUE(rec.rolled_back);
-    auto tail = sim->run(4);
-    tail.insert(tail.begin(), rec);
-    return std::pair{std::move(sim), std::move(tail)};
-  };
-
-  const auto [pointer_sim, pointer_recs] = run_with(BuildStrategy::kPointer);
-  const auto [morton_sim, morton_recs] = run_with(BuildStrategy::kMorton);
-
-  ASSERT_EQ(pointer_sim->rollbacks(), 1);
-  ASSERT_EQ(morton_sim->rollbacks(), 1);
-  ASSERT_EQ(pointer_recs.size(), morton_recs.size());
-  for (std::size_t i = 0; i < pointer_recs.size(); ++i) {
-    EXPECT_EQ(pointer_recs[i].rolled_back, morton_recs[i].rolled_back);
-    EXPECT_EQ(pointer_recs[i].restored_step, morton_recs[i].restored_step);
-    EXPECT_EQ(pointer_recs[i].compute_seconds, morton_recs[i].compute_seconds);
-    EXPECT_EQ(pointer_recs[i].S, morton_recs[i].S);
-  }
-  EXPECT_TRUE(pointer_sim->run_audit().ok());
-  EXPECT_TRUE(morton_sim->run_audit().ok());
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    EXPECT_EQ(pointer_sim->bodies().positions[i],
-              morton_sim->bodies().positions[i]);
-    EXPECT_EQ(pointer_sim->bodies().velocities[i],
-              morton_sim->bodies().velocities[i]);
   }
 }
 

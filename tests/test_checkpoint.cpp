@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -9,6 +10,7 @@
 #include "core/simulation.hpp"
 #include "core/stokes_simulation.hpp"
 #include "dist/distributions.hpp"
+#include "state/checkpoint_detail.hpp"
 #include "state/serial.hpp"
 #include "state/shard_store.hpp"
 #include "util/rng.hpp"
@@ -202,6 +204,56 @@ TEST(Checkpoint, VersionMismatchRejected) {
   std::string error;
   EXPECT_FALSE(decode_checkpoint(bytes, &error).has_value());
   EXPECT_NE(error.find("version"), std::string::npos) << error;
+}
+
+TEST(Checkpoint, RetiredTreeStrategyByteStillLoads) {
+  // v5 tree sections carry a build-strategy byte at offset 41 (after i32
+  // leaf_capacity, i32 max_depth, Vec3 root_center, f64 root_half, u8
+  // parallel flag). Files written with any of its old values (0 auto,
+  // 1 pointer, 2 morton) must decode to the same tree; 3 was never valid.
+  const auto bodies = test_bodies(500);
+  TreeConfig tc = fit_cube(bodies.positions);
+  tc.leaf_capacity = 16;
+  AdaptiveOctree tree;
+  tree.build(bodies.positions, tc);
+  ByteWriter w;
+  ckpt::put_tree(w, tree.snapshot());
+  const std::vector<std::uint8_t> original = w.buffer();
+  constexpr std::size_t kStrategyByte = 41;
+  ASSERT_EQ(original[kStrategyByte], 1);
+
+  for (std::uint8_t tag : {0, 1, 2, 3}) {
+    auto bytes = original;
+    bytes[kStrategyByte] = tag;
+    ByteReader r(bytes);
+    OctreeSnapshot got;
+    const bool ok = ckpt::get_tree(r, got) && r.ok();
+    if (tag == 3) {
+      EXPECT_FALSE(ok);
+      continue;
+    }
+    ASSERT_TRUE(ok) << "tag " << int(tag);
+    EXPECT_EQ(r.remaining(), 0u);
+    AdaptiveOctree restored;
+    restored.restore(got);
+    ASSERT_EQ(restored.num_nodes(), tree.num_nodes());
+    for (int i = 0; i < tree.num_nodes(); ++i) {
+      const auto& a = tree.node(i);
+      const auto& b = restored.node(i);
+      EXPECT_EQ(a.center, b.center);
+      EXPECT_EQ(a.half, b.half);
+      EXPECT_EQ(a.parent, b.parent);
+      EXPECT_EQ(a.children, b.children);
+      EXPECT_EQ(a.has_children, b.has_children);
+      EXPECT_EQ(a.level, b.level);
+      EXPECT_EQ(a.collapsed, b.collapsed);
+      EXPECT_EQ(a.begin, b.begin);
+      EXPECT_EQ(a.count, b.count);
+    }
+    EXPECT_TRUE(std::ranges::equal(restored.perm(), tree.perm()));
+    EXPECT_TRUE(std::ranges::equal(restored.sorted_positions(),
+                                   tree.sorted_positions()));
+  }
 }
 
 TEST(Checkpoint, BadMagicRejected) {

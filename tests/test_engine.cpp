@@ -76,28 +76,6 @@ TEST(Engine, GravityGoldenTrajectoryIsBitIdentical) {
   EXPECT_TRUE(got == expect);
 }
 
-TEST(Engine, GravityGoldenTrajectoryIsBitIdenticalUnderMortonBuild) {
-  if (std::getenv("AFMM_REGEN_GOLDEN") != nullptr)
-    GTEST_SKIP() << "golden regenerates from the pointer build";
-
-  std::ifstream in(golden_path(), std::ios::binary);
-  ASSERT_TRUE(in) << "missing " << golden_path()
-                  << " (run with AFMM_REGEN_GOLDEN=1 to create it)";
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string expect = buf.str();
-  ASSERT_FALSE(expect.empty());
-
-  // The SAME golden file the pointer build satisfies: the Morton-linearized
-  // build must reproduce the full trajectory -- StepRecords, phase space,
-  // trace and metric fingerprints -- byte for byte, or the two builders have
-  // diverged structurally somewhere.
-  const std::string got = golden::golden_dump(BuildStrategy::kMorton);
-  EXPECT_EQ(golden::fnv1a(got), golden::fnv1a(expect))
-      << "first divergence at " << first_diff(expect, got);
-  EXPECT_TRUE(got == expect);
-}
-
 std::vector<Vec3> blob(Rng& rng, int n, const Vec3& center, double radius) {
   std::vector<Vec3> pos;
   while (static_cast<int>(pos.size()) < n) {

@@ -2,15 +2,10 @@
 
 #include <algorithm>
 #include <fstream>
-#include <limits>
-#include <numeric>
-#include <set>
 #include <sstream>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
-#include "util/morton.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -114,142 +109,6 @@ TEST(Rng, NormalMomentsReasonable) {
 TEST(Rng, BelowIsBounded) {
   Rng rng(13);
   for (int i = 0; i < 1000; ++i) EXPECT_LT(rng.below(17), 17u);
-}
-
-// -------------------------------------------------------------- Morton ----
-
-TEST(Morton, EncodeDecodeRoundTrip) {
-  Rng rng(3);
-  for (int i = 0; i < 2000; ++i) {
-    const auto x = static_cast<std::uint32_t>(rng.below(1u << 21));
-    const auto y = static_cast<std::uint32_t>(rng.below(1u << 21));
-    const auto z = static_cast<std::uint32_t>(rng.below(1u << 21));
-    std::uint32_t rx, ry, rz;
-    morton_decode(morton_encode(x, y, z), rx, ry, rz);
-    EXPECT_EQ(x, rx);
-    EXPECT_EQ(y, ry);
-    EXPECT_EQ(z, rz);
-  }
-}
-
-TEST(Morton, KnownValues) {
-  EXPECT_EQ(morton_encode(0, 0, 0), 0u);
-  EXPECT_EQ(morton_encode(1, 0, 0), 1u);
-  EXPECT_EQ(morton_encode(0, 1, 0), 2u);
-  EXPECT_EQ(morton_encode(0, 0, 1), 4u);
-  EXPECT_EQ(morton_encode(1, 1, 1), 7u);
-  EXPECT_EQ(morton_encode(2, 0, 0), 8u);
-}
-
-TEST(Morton, KeyClampsToCube) {
-  const Vec3 lo{0, 0, 0};
-  // Outside points clamp instead of wrapping.
-  const auto inside = morton_key({0.999999, 0.5, 0.5}, lo, 1.0);
-  const auto outside = morton_key({57.0, 0.5, 0.5}, lo, 1.0);
-  std::uint32_t xi, yi, zi, xo, yo, zo;
-  morton_decode(inside, xi, yi, zi);
-  morton_decode(outside, xo, yo, zo);
-  EXPECT_EQ(xo, (1u << 21) - 1);
-  EXPECT_EQ(yo, yi);
-}
-
-TEST(Morton, OctantLocalityProperty) {
-  // Points in the same half-space share the top interleaved bit per dim.
-  Rng rng(9);
-  for (int i = 0; i < 200; ++i) {
-    Vec3 p{rng.uniform(), rng.uniform(), rng.uniform()};
-    const auto key = morton_key(p, {0, 0, 0}, 1.0);
-    std::uint32_t x, y, z;
-    morton_decode(key, x, y, z);
-    EXPECT_EQ(x >= (1u << 20), p.x >= 0.5);
-    EXPECT_EQ(y >= (1u << 20), p.y >= 0.5);
-    EXPECT_EQ(z >= (1u << 20), p.z >= 0.5);
-  }
-}
-
-TEST(Morton, NonFiniteCoordinateThrows) {
-  // Regression: std::clamp passes NaN through and casting NaN to an unsigned
-  // integer is UB -- morton_key must reject non-finite input loudly instead
-  // of producing a garbage key.
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(morton_key({nan, 0.5, 0.5}, {0, 0, 0}, 1.0),
-               std::invalid_argument);
-  EXPECT_THROW(morton_key({0.5, inf, 0.5}, {0, 0, 0}, 1.0),
-               std::invalid_argument);
-  EXPECT_THROW(morton_key({0.5, 0.5, -inf}, {0, 0, 0}, 1.0),
-               std::invalid_argument);
-}
-
-TEST(Morton, DescentKeyNonFiniteMatchesComparisonSemantics) {
-  // The descent key has NO undefined behavior on non-finite input: a NaN
-  // comparison is always false, so NaN descends to cell 0 in that dimension
-  // (exactly where the pointer build's `p >= center` sends it), and +-inf
-  // saturates to the boundary cells.
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  const Vec3 c{0.5, 0.5, 0.5};
-  EXPECT_EQ(morton_key_descent({nan, nan, nan}, c, 0.5), 0u);
-  EXPECT_EQ(morton_key_descent({nan, nan, nan}, c, 0.5),
-            morton_key_descent({-inf, -inf, -inf}, c, 0.5));
-  EXPECT_EQ(morton_key_descent({inf, inf, inf}, c, 0.5),
-            morton_key_descent({9e99, 9e99, 9e99}, c, 0.5));
-}
-
-TEST(Morton, DescentKeyMatchesTopLevelOctants) {
-  // Digit 20 (the most significant octant digit) must equal the pointer
-  // build's root-level octant decision, including ties on the center plane
-  // (>= goes up) and points outside the cube.
-  const Vec3 c{0.5, 0.5, 0.5};
-  auto top_digit = [&](const Vec3& p) {
-    return static_cast<int>(morton_key_descent(p, c, 0.5) >> 60);
-  };
-  EXPECT_EQ(top_digit({0.25, 0.25, 0.25}), 0);
-  EXPECT_EQ(top_digit({0.75, 0.25, 0.25}), 1);
-  EXPECT_EQ(top_digit({0.25, 0.75, 0.25}), 2);
-  EXPECT_EQ(top_digit({0.25, 0.25, 0.75}), 4);
-  EXPECT_EQ(top_digit({0.75, 0.75, 0.75}), 7);
-  EXPECT_EQ(top_digit({0.5, 0.5, 0.5}), 7);     // on-plane ties go upper
-  EXPECT_EQ(top_digit({0.5, 0.25, 0.25}), 1);   // single-axis tie
-  EXPECT_EQ(top_digit({-3.0, 0.25, 0.25}), 0);  // outside: saturates low
-  EXPECT_EQ(top_digit({9.0, 0.25, 0.25}), 1);   // outside: saturates high
-}
-
-TEST(Morton, SortByKeyMatchesStableSortSerialAndParallel) {
-  Rng rng(41);
-  const std::size_t n = 5000;
-  std::vector<std::uint64_t> keys(n);
-  // Heavy duplication stresses stability; full-width values stress all
-  // eight radix passes.
-  for (auto& k : keys)
-    k = (rng.below(4) == 0) ? rng.below(16)
-                            : (static_cast<std::uint64_t>(rng.below(1u << 30))
-                               << 33) ^
-                                  rng.below(1u << 30);
-  std::vector<std::uint32_t> vals(n);
-  std::iota(vals.begin(), vals.end(), 0u);
-
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> expect(n);
-  for (std::size_t i = 0; i < n; ++i) expect[i] = {keys[i], vals[i]};
-  std::stable_sort(expect.begin(), expect.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  for (bool parallel : {false, true}) {
-    auto k = keys;
-    auto v = vals;
-    sort_by_key(k, v, parallel);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(k[i], expect[i].first) << "parallel=" << parallel << " i=" << i;
-      ASSERT_EQ(v[i], expect[i].second)
-          << "parallel=" << parallel << " i=" << i;
-    }
-  }
-}
-
-TEST(Morton, SortByKeySizeMismatchThrows) {
-  std::vector<std::uint64_t> keys(3);
-  std::vector<std::uint32_t> vals(2);
-  EXPECT_THROW(sort_by_key(keys, vals, false), std::invalid_argument);
 }
 
 // --------------------------------------------------------------- Stats ----
