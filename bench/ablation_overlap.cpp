@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
         std::printf("  S=%-4d UNEXPECTED CPU FALLBACK\n", s);
         continue;
       }
-      t.gpu_seconds = gpu.max_kernel_seconds;
+      node.charge_near_field(gpu, t);
       node.overlap_step(ctx, tree, lists, gpu, 1, t);
       const double serialized = gpu.timeline.step_seconds(t.cpu_seconds);
       const bool below = t.cpu_seconds > 0.0 && t.gpu_seconds > 0.0 &&

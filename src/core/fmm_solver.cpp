@@ -296,9 +296,60 @@ SolveStats make_stats(const AdaptiveOctree& tree,
   return s;
 }
 
+template <class Kernel>
+FmmSolver<Kernel>::FmmSolver(const FmmConfig& config, NodeSimulator node,
+                             Kernel kernel)
+    : far_(config), node_(std::move(node)), kernel_(std::move(kernel)) {}
+
+template <class Kernel>
+typename FmmSolver<Kernel>::Fields FmmSolver<Kernel>::solve_fields(
+    const AdaptiveOctree& tree, std::span<const std::vector<double>> rhs,
+    std::span<const typename Kernel::Source> sources,
+    SolveOutcome& out) const {
+  auto& cache = external_cache_ ? *external_cache_ : own_cache_;
+  const InteractionLists& lists = cache.get(tree, far_.config().traversal);
+  const int passes = static_cast<int>(rhs.size());
+
+  // SDC hooks: armed by the detectors configured on, or by a corruption the
+  // fault injector left pending in the node's health registry.
+  const SdcDetectConfig& det = far_.config().sdc;
+  const SdcPending pending = node_.health().sdc;
+  const SdcHooks far_hooks{&det, pending.expansion, pending.expansion_seed,
+                           &out.sdc};
+  const bool arm_far = det.expansion_checks || det.expansion_reaggregation ||
+                       pending.expansion;
+  const SdcHooks p2p_hooks{&det, pending.gpu_batch, pending.gpu_batch_seed,
+                           &out.sdc};
+  const bool arm_p2p =
+      det.p2p_checks || det.p2p_verify_stride > 0 || pending.gpu_batch;
+
+  if (far_.config().collect_real_timings)
+    out.real_timings = std::make_shared<OpTimers>();
+
+  Fields fields;
+  far_.evaluate(tree, lists, rhs, fields.far, out.real_timings.get(),
+                arm_far ? &far_hooks : nullptr);
+  fields.near.resize(tree.num_bodies());
+  out.gpu = run_p2p(tree, lists.p2p, kernel_, sources, tree.perm(),
+                    node_.gpus(),
+                    std::span<typename Kernel::Accum>(fields.near),
+                    &node_.health(), arm_p2p ? &p2p_hooks : nullptr);
+
+  out.times = node_.simulate_far_field(far_.context(), tree, lists, passes);
+  node_.charge_near_field(out.gpu, out.times);
+  if (node_.overlap_enabled())
+    out.dag = node_.overlap_step(far_.context(), tree, lists, out.gpu, passes,
+                                 out.times);
+  out.stats = make_stats(tree, lists);
+  return fields;
+}
+
+template class FmmSolver<GravityKernel>;
+template class FmmSolver<StokesletKernel>;
+
 GravitySolver::GravitySolver(const FmmConfig& config, NodeSimulator node,
                              GravityKernel kernel)
-    : far_(config), node_(std::move(node)), kernel_(kernel) {}
+    : FmmSolver(config, std::move(node), kernel) {}
 
 GravityResult GravitySolver::solve(const AdaptiveOctree& tree,
                                    std::span<const Vec3> positions,
@@ -307,67 +358,29 @@ GravityResult GravitySolver::solve(const AdaptiveOctree& tree,
       positions.size() != tree.num_bodies())
     throw std::invalid_argument("GravitySolver::solve: size mismatch");
 
-  auto& cache = external_cache_ ? *external_cache_ : own_cache_;
-  const InteractionLists& lists = cache.get(tree, far_.config().traversal);
-
-  std::vector<double> q_tree;
-  tree.gather(charges, q_tree);
-
-  GravityResult res;
-  const SdcDetectConfig& det = far_.config().sdc;
-  const SdcPending pending = node_.health().sdc;
-
-  std::vector<std::vector<double>> rhs{q_tree};
-  std::vector<std::vector<PointValue>> far_out;
-  std::shared_ptr<OpTimers> timers;
-  if (far_.config().collect_real_timings) timers = std::make_shared<OpTimers>();
-  const SdcHooks far_hooks{&det, pending.expansion, pending.expansion_seed,
-                           &res.sdc};
-  const bool arm_far = det.expansion_checks || det.expansion_reaggregation ||
-                       pending.expansion;
-  far_.evaluate(tree, lists, rhs, far_out, timers.get(),
-                arm_far ? &far_hooks : nullptr);
-
+  std::vector<std::vector<double>> rhs(1);
+  tree.gather(charges, rhs[0]);
   const auto pos = tree.sorted_positions();
   const std::size_t n = tree.num_bodies();
   std::vector<GravitySource> sources(n);
-  for (std::size_t i = 0; i < n; ++i) sources[i] = {pos[i], q_tree[i]};
-  std::vector<GravityAccum> near(n);
+  for (std::size_t i = 0; i < n; ++i) sources[i] = {pos[i], rhs[0][i]};
 
-  const SdcHooks p2p_hooks{&det, pending.gpu_batch, pending.gpu_batch_seed,
-                           &res.sdc};
-  const bool arm_p2p =
-      det.p2p_checks || det.p2p_verify_stride > 0 || pending.gpu_batch;
-  res.gpu = run_p2p(tree, lists.p2p, kernel_, std::span<const GravitySource>(sources),
-                    tree.perm(), node_.gpus(), std::span<GravityAccum>(near),
-                    &node_.health(), arm_p2p ? &p2p_hooks : nullptr);
-
+  GravityResult res;
+  const Fields f = solve_fields(tree, rhs, sources, res);
   res.potential.assign(n, 0.0);
   res.gradient.assign(n, Vec3{});
   const auto perm = tree.perm();
   for (std::size_t t = 0; t < n; ++t) {
     const auto o = perm[t];
-    res.potential[o] = far_out[0][t].potential + near[t].pot;
-    res.gradient[o] = far_out[0][t].gradient + near[t].grad;
+    res.potential[o] = f.far[0][t].potential + f.near[t].pot;
+    res.gradient[o] = f.far[0][t].gradient + f.near[t].grad;
   }
-
-  res.times = node_.simulate_far_field(far_.context(), tree, lists, 1);
-  if (res.gpu.cpu_fallback)
-    res.times.cpu_p2p_seconds = node_.cpu_p2p_seconds(res.gpu.total_interactions);
-  else
-    res.times.gpu_seconds = res.gpu.max_kernel_seconds;
-  res.times.transfer_retries = res.gpu.timeline.retries;
-  if (node_.overlap_enabled())
-    res.dag = node_.overlap_step(far_.context(), tree, lists, res.gpu, 1,
-                                 res.times);
-  res.stats = make_stats(tree, lists);
-  res.real_timings = std::move(timers);
   return res;
 }
 
 StokesletSolver::StokesletSolver(const FmmConfig& config, NodeSimulator node,
                                  double epsilon)
-    : far_(config), node_(std::move(node)), kernel_(epsilon) {}
+    : FmmSolver(config, std::move(node), StokesletKernel(epsilon)) {}
 
 StokesletResult StokesletSolver::solve(const AdaptiveOctree& tree,
                                        std::span<const Vec3> positions,
@@ -376,71 +389,34 @@ StokesletResult StokesletSolver::solve(const AdaptiveOctree& tree,
       positions.size() != tree.num_bodies())
     throw std::invalid_argument("StokesletSolver::solve: size mismatch");
 
-  auto& cache = external_cache_ ? *external_cache_ : own_cache_;
-  const InteractionLists& lists = cache.get(tree, far_.config().traversal);
   const auto pos = tree.sorted_positions();
   const auto perm = tree.perm();
   const std::size_t n = tree.num_bodies();
 
   // Four harmonic right-hand sides: f_x, f_y, f_z and the moment y.f.
   std::vector<std::vector<double>> rhs(4, std::vector<double>(n));
+  std::vector<StokesletSource> sources(n);
   for (std::size_t t = 0; t < n; ++t) {
     const Vec3 f = forces[perm[t]];
     rhs[0][t] = f.x;
     rhs[1][t] = f.y;
     rhs[2][t] = f.z;
     rhs[3][t] = dot(pos[t], f);
+    sources[t] = {pos[t], f};
   }
 
   StokesletResult res;
-  const SdcDetectConfig& det = far_.config().sdc;
-  const SdcPending pending = node_.health().sdc;
-
-  std::vector<std::vector<PointValue>> far_out;
-  std::shared_ptr<OpTimers> timers;
-  if (far_.config().collect_real_timings) timers = std::make_shared<OpTimers>();
-  const SdcHooks far_hooks{&det, pending.expansion, pending.expansion_seed,
-                           &res.sdc};
-  const bool arm_far = det.expansion_checks || det.expansion_reaggregation ||
-                       pending.expansion;
-  far_.evaluate(tree, lists, rhs, far_out, timers.get(),
-                arm_far ? &far_hooks : nullptr);
-
-  std::vector<StokesletSource> sources(n);
-  for (std::size_t t = 0; t < n; ++t) sources[t] = {pos[t], forces[perm[t]]};
-  std::vector<StokesletAccum> near(n);
-
-  const SdcHooks p2p_hooks{&det, pending.gpu_batch, pending.gpu_batch_seed,
-                           &res.sdc};
-  const bool arm_p2p =
-      det.p2p_checks || det.p2p_verify_stride > 0 || pending.gpu_batch;
-  res.gpu = run_p2p(tree, lists.p2p, kernel_,
-                    std::span<const StokesletSource>(sources), perm,
-                    node_.gpus(), std::span<StokesletAccum>(near),
-                    &node_.health(), arm_p2p ? &p2p_hooks : nullptr);
-
+  const Fields f = solve_fields(tree, rhs, sources, res);
   res.velocity.assign(n, Vec3{});
   for (std::size_t t = 0; t < n; ++t) {
-    const double phi[3] = {far_out[0][t].potential, far_out[1][t].potential,
-                           far_out[2][t].potential};
-    const Vec3 grad_phi[3] = {far_out[0][t].gradient, far_out[1][t].gradient,
-                              far_out[2][t].gradient};
+    const double phi[3] = {f.far[0][t].potential, f.far[1][t].potential,
+                           f.far[2][t].potential};
+    const Vec3 grad_phi[3] = {f.far[0][t].gradient, f.far[1][t].gradient,
+                              f.far[2][t].gradient};
     const Vec3 u_far =
-        combine_harmonic_passes(pos[t], phi, grad_phi, far_out[3][t].gradient);
-    res.velocity[perm[t]] = u_far + near[t].u;
+        combine_harmonic_passes(pos[t], phi, grad_phi, f.far[3][t].gradient);
+    res.velocity[perm[t]] = u_far + f.near[t].u;
   }
-
-  res.times = node_.simulate_far_field(far_.context(), tree, lists, 4);
-  if (res.gpu.cpu_fallback)
-    res.times.cpu_p2p_seconds = node_.cpu_p2p_seconds(res.gpu.total_interactions);
-  else
-    res.times.gpu_seconds = res.gpu.max_kernel_seconds;
-  res.times.transfer_retries = res.gpu.timeline.retries;
-  if (node_.overlap_enabled())
-    res.dag = node_.overlap_step(far_.context(), tree, lists, res.gpu, 4,
-                                 res.times);
-  res.stats = make_stats(tree, lists);
-  res.real_timings = std::move(timers);
   return res;
 }
 

@@ -11,8 +11,9 @@
 //                   harmonic identity in kernels/stokeslet.hpp. This is the
 //                   paper's fluid problem with ~4x the M2L cost.
 //
-// Near-field work is dispatched to the simulated GPU system; the returned
-// ObservedStepTimes carry the virtual CPU/GPU times of the machine model.
+// Both solvers share one solve body (FmmSolver::solve_fields): far field,
+// near field on the simulated GPU system (gpusim/p2p_executor.hpp), and the
+// machine model's virtual CPU/GPU times in the returned SolveOutcome.
 #pragma once
 
 #include <cstdint>
@@ -81,9 +82,12 @@ class HarmonicFarField {
   ExpansionContext ctx_;
 };
 
-struct GravityResult {
-  std::vector<double> potential;  // phi = sum q/r, original body order
-  std::vector<Vec3> gradient;     // grad phi; acceleration = G * gradient
+// What every solve reports besides its physics: the machine-model
+// observation the balancer digests, plus what observability emission needs.
+// It is also what a Problem's solve hands back to the engine; the typed
+// numerical result (gradient, velocity) stays inside the Problem between
+// solve() and post_solve().
+struct SolveOutcome {
   ObservedStepTimes times;
   GpuRunResult gpu;
   SolveStats stats;
@@ -92,25 +96,28 @@ struct GravityResult {
   // SDC activity inside this solve (injections, detections, repairs).
   SdcReport sdc;
   // Executed overlap schedule (null unless the node's overlap executor ran);
-  // purely observational -- the numerics above never depend on it.
+  // purely observational -- the numerics never depend on it.
   std::shared_ptr<const DagSchedule> dag;
 };
 
-class GravitySolver {
+struct GravityResult : SolveOutcome {
+  std::vector<double> potential;  // phi = sum q/r, original body order
+  std::vector<Vec3> gradient;     // grad phi; acceleration = G * gradient
+};
+
+struct StokesletResult : SolveOutcome {
+  std::vector<Vec3> velocity;  // original body order, before 1/(8 pi mu)
+};
+
+// State and solve steps shared by GravitySolver and StokesletSolver. Each
+// solver adds only its right-hand-side / source assembly and the combination
+// of the far and near fields into its result.
+template <class Kernel>
+class FmmSolver {
  public:
-  GravitySolver(const FmmConfig& config, NodeSimulator node,
-                GravityKernel kernel = GravityKernel{});
-
-  // Solve on a prepared tree. `positions` / `charges` are in ORIGINAL body
-  // order; the tree must have been built (or rebinned) from `positions`.
-  GravityResult solve(const AdaptiveOctree& tree,
-                      std::span<const Vec3> positions,
-                      std::span<const double> charges) const;
-
   const HarmonicFarField& far_field() const { return far_; }
   NodeSimulator& node() { return node_; }
   const NodeSimulator& node() const { return node_; }
-  const GravityKernel& kernel() const { return kernel_; }
 
   // Share an external interaction-list cache (e.g. with the load balancer so
   // its dry runs and the next solve reuse one traversal); nullptr returns to
@@ -120,48 +127,51 @@ class GravitySolver {
     return external_cache_ ? *external_cache_ : own_cache_;
   }
 
+ protected:
+  FmmSolver(const FmmConfig& config, NodeSimulator node, Kernel kernel);
+
+  // Tree-ordered field values of one solve.
+  struct Fields {
+    std::vector<std::vector<PointValue>> far;  // [rhs][body]
+    std::vector<typename Kernel::Accum> near;  // [body]
+  };
+
+  // Far field of the harmonic right-hand sides `rhs` plus near field of the
+  // tree-ordered `sources`, with the SDC hooks the node's health arms, and
+  // the machine model's virtual times for `rhs.size()` expansion passes.
+  // Fills `out`; the caller combines the returned fields.
+  Fields solve_fields(const AdaptiveOctree& tree,
+                      std::span<const std::vector<double>> rhs,
+                      std::span<const typename Kernel::Source> sources,
+                      SolveOutcome& out) const;
+
  private:
   HarmonicFarField far_;
   NodeSimulator node_;
-  GravityKernel kernel_;
+  Kernel kernel_;
   mutable InteractionListCache own_cache_;
   InteractionListCache* external_cache_ = nullptr;
 };
 
-struct StokesletResult {
-  std::vector<Vec3> velocity;  // original body order, before 1/(8 pi mu)
-  ObservedStepTimes times;
-  GpuRunResult gpu;
-  SolveStats stats;
-  std::shared_ptr<OpTimers> real_timings;
-  SdcReport sdc;
-  std::shared_ptr<const DagSchedule> dag;  // see GravityResult::dag
+class GravitySolver : public FmmSolver<GravityKernel> {
+ public:
+  GravitySolver(const FmmConfig& config, NodeSimulator node,
+                GravityKernel kernel = GravityKernel{});
+
+  // Solve on a prepared tree. `positions` / `charges` are in ORIGINAL body
+  // order; the tree must have been built (or rebinned) from `positions`.
+  GravityResult solve(const AdaptiveOctree& tree,
+                      std::span<const Vec3> positions,
+                      std::span<const double> charges) const;
 };
 
-class StokesletSolver {
+class StokesletSolver : public FmmSolver<StokesletKernel> {
  public:
   StokesletSolver(const FmmConfig& config, NodeSimulator node, double epsilon);
 
   StokesletResult solve(const AdaptiveOctree& tree,
                         std::span<const Vec3> positions,
                         std::span<const Vec3> forces) const;
-
-  const HarmonicFarField& far_field() const { return far_; }
-  NodeSimulator& node() { return node_; }
-  const NodeSimulator& node() const { return node_; }
-
-  // See GravitySolver::set_list_cache.
-  void set_list_cache(InteractionListCache* cache) { external_cache_ = cache; }
-  const InteractionListCache& list_cache() const {
-    return external_cache_ ? *external_cache_ : own_cache_;
-  }
-
- private:
-  HarmonicFarField far_;
-  NodeSimulator node_;
-  StokesletKernel kernel_;
-  mutable InteractionListCache own_cache_;
-  InteractionListCache* external_cache_ = nullptr;
 };
 
 SolveStats make_stats(const AdaptiveOctree& tree,

@@ -1,12 +1,16 @@
 // Executes the near-field (P2P) phase on the simulated multi-GPU system.
 //
-// Numerics: each work item is processed exactly as the paper's CUDA kernel
-// would -- every target body accumulates its sources in concatenated
+// Numerics: run_p2p is the one near-field executor. It processes the work
+// list once, in list order, exactly as the paper's CUDA kernel computes each
+// item -- every target body accumulates its sources in concatenated
 // source-list order (the lock-step tile march visits sources in that order
-// for every lane), so results are deterministic and association-order
-// faithful to the device kernel.
+// for every lane). The traversal emits one work item per target node and
+// target spans never overlap, so every body receives exactly one `+=`: the
+// forces do not depend on which device a work item is assigned to, on how
+// many devices survive, or on the order the items run in.
 //
-// Timing: each device's share is expanded into block shapes and passed to
+// Timing: simulate_p2p_timing partitions the work across the devices,
+// expands each device's share into block shapes and passes them to
 // simulate_kernel(); the reported GPU Time is the maximum kernel time over
 // all devices, matching the paper's cudaEvent-based definition (Section
 // VII.A).
@@ -15,14 +19,15 @@
 // devices receive no work, throttled devices run at their scaled clock and
 // receive a proportionally smaller interaction share, and transient link
 // faults charge retry time into the step timeline. With every GPU dead the
-// work is executed on the CPU instead (the Fig. 7 baseline path); because
-// partitioning never splits a target node, the forces are bit-identical to
-// the healthy GPU path no matter which devices survive.
+// result is flagged cpu_fallback and the machine model charges the near
+// field to the CPU (the Fig. 7 baseline path); the forces are unchanged.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "gpusim/gpu_model.hpp"
@@ -42,6 +47,10 @@ struct GpuSystemConfig {
 
   static GpuSystemConfig uniform(int num_gpus,
                                  const GpuDeviceConfig& dev = {}) {
+    if (num_gpus < 0)
+      throw std::invalid_argument(
+          "GpuSystemConfig::uniform: num_gpus must be >= 0, got " +
+          std::to_string(num_gpus));
     GpuSystemConfig cfg;
     cfg.devices.assign(static_cast<std::size_t>(num_gpus), dev);
     return cfg;
@@ -65,7 +74,8 @@ struct GpuRunResult {
   std::uint64_t total_interactions = 0;
   double imbalance = 1.0;
   // All GPUs lost: the near field ran on the CPU; max_kernel_seconds is 0
-  // and the caller charges total_interactions through the CPU cost model.
+  // and NodeSimulator::charge_near_field charges total_interactions through
+  // the CPU cost model.
   bool cpu_fallback = false;
   // CPU-GPU communication timeline of the step (Section III.D): the
   // non-blocking launch, upload+kernel completion, and the blocking gather.
@@ -98,14 +108,14 @@ std::vector<GpuWorkShape> collect_shapes(const AdaptiveOctree& tree,
 // ABFT (sdc/): each work item -- one "batch", the unit a device would hand
 // back -- is computed into a staging buffer, checksummed at production, and
 // only flushed into `out` after verification. A corrupted batch (the
-// simulated kSdcGpuBatch event flips a bit post-"transfer") is detected by
-// the checksum mismatch and SURGICALLY REPAIRED by re-executing just that
-// batch on the CPU; `sdc->detect->p2p_verify_stride` additionally re-evaluates
-// one target body of every Nth batch from scratch as an independent
-// end-to-end sample. The staging buffer changes no arithmetic: per-target
-// accumulation order and the `out[bt] += batch[j]` flush are the exact
-// operations of the direct path, so results stay bit-identical with hooks
-// on, off, or null.
+// simulated kSdcGpuBatch event flips a bit post-"transfer"; the victim is a
+// work index) is detected by the checksum mismatch and SURGICALLY REPAIRED
+// by re-executing just that batch on the CPU; `sdc->detect->p2p_verify_stride`
+// additionally re-evaluates one target body of every Nth work item from
+// scratch as an independent end-to-end sample. The staging buffer changes
+// no arithmetic: per-target accumulation order and the `out[bt] += batch[j]`
+// flush are the exact operations of the direct path, so results stay
+// bit-identical with hooks on, off, or null.
 template <typename Kernel>
 GpuRunResult run_p2p(const AdaptiveOctree& tree,
                      const std::vector<P2PWork>& work, const Kernel& kernel,
@@ -125,35 +135,9 @@ GpuRunResult run_p2p(const AdaptiveOctree& tree,
           ? static_cast<std::int64_t>(sdc_pick(sdc->seed, work.size()))
           : -1;
 
-  // Compute one batch (work item) into `batch`, exactly as the direct path
-  // would: every target body accumulates its sources in concatenated
-  // source-list order. Value-initializing the elements keeps any padding
-  // bytes deterministic for raw-byte checksums.
-  std::vector<Accum> batch;
-  auto compute_batch = [&](int wi) {
-    const P2PWork& w = work[wi];
-    const OctreeNode& t = tree.node(w.target);
-    batch.assign(t.count, Accum{});
-    std::size_t j = 0;
-    for (std::uint32_t bt = t.begin; bt < t.begin + t.count; ++bt, ++j) {
-      Accum acc{};
-      const Vec3 xt = sources[bt].x;
-      for (int s : w.sources) {
-        const OctreeNode& sn = tree.node(s);
-        for (std::uint32_t bs = sn.begin; bs < sn.begin + sn.count; ++bs)
-          kernel.accumulate(xt, ids[bt], sources[bs], ids[bs], acc);
-      }
-      batch[j] = acc;
-    }
-  };
-
-  // Recompute one target body of the batch from scratch (the sampled CPU
-  // re-evaluation); returns true when it matches the staged result bitwise.
-  auto sample_matches = [&](int wi) {
-    const P2PWork& w = work[wi];
-    const OctreeNode& t = tree.node(w.target);
-    if (t.count == 0) return true;
-    const std::uint32_t bt = t.begin;
+  // The near-field kernel: one target body accumulates the sources of its
+  // work item in concatenated source-list order.
+  auto target_sum = [&](const P2PWork& w, std::uint32_t bt) {
     Accum acc{};
     const Vec3 xt = sources[bt].x;
     for (int s : w.sources) {
@@ -161,67 +145,64 @@ GpuRunResult run_p2p(const AdaptiveOctree& tree,
       for (std::uint32_t bs = sn.begin; bs < sn.begin + sn.count; ++bs)
         kernel.accumulate(xt, ids[bt], sources[bs], ids[bs], acc);
     }
+    return acc;
+  };
+
+  // Value-initializing the batch keeps any padding bytes deterministic for
+  // raw-byte checksums.
+  std::vector<Accum> batch;
+  auto compute_batch = [&](const P2PWork& w, const OctreeNode& t) {
+    batch.assign(t.count, Accum{});
+    for (std::uint32_t j = 0; j < t.count; ++j)
+      batch[j] = target_sum(w, t.begin + j);
+  };
+  // The sampled CPU re-evaluation: recompute the first target body from
+  // scratch; true when it matches the staged result bitwise.
+  auto sample_matches = [&](const P2PWork& w, const OctreeNode& t) {
+    if (t.count == 0) return true;
+    const Accum acc = target_sum(w, t.begin);
     return std::memcmp(&acc, batch.data(), sizeof(Accum)) == 0;
   };
 
-  // A single accumulation routine serves both the per-device shares and the
-  // all-GPUs-lost CPU fallback: per-target source order depends only on the
-  // work item itself, so the forces are bitwise identical either way.
-  auto execute = [&](const std::vector<int>& assigned) {
-    for (int wi : assigned) {
-      compute_batch(wi);
-      const std::size_t bytes = batch.size() * sizeof(Accum);
-      // ABFT checksum at production time (before the batch "leaves the
-      // device"); also the bit-exact ground truth a repair must reproduce.
-      const std::uint64_t want =
-          check_sums ? sdc_checksum_bytes(batch.data(), bytes) : 0;
-      if (wi == inject_wi && !batch.empty()) {
-        // The victim double is seed-picked across the whole batch: corruption
-        // can land in any accumulator field of any target body.
-        double* doubles = reinterpret_cast<double*>(batch.data());
-        sdc_flip_double_bit(doubles[sdc_pick(sdc->seed >> 7,
-                                             bytes / sizeof(double))],
-                            static_cast<int>(sdc->seed >> 17));
-        if (sdc->report) ++sdc->report->injected;
-      }
-      bool bad = false;
-      if (check_sums) bad = sdc_checksum_bytes(batch.data(), bytes) != want;
-      if (!bad && sample_stride > 0 && wi % sample_stride == 0)
-        bad = !sample_matches(wi);
-      if (bad) {
-        if (sdc->report) ++sdc->report->detected;
-        // Surgical repair: recompute just this batch, then prove the repair
-        // bit-exact against the production-time checksum (or the sampled
-        // re-evaluation when checksums are off).
-        compute_batch(wi);
-        const bool fixed =
-            check_sums ? sdc_checksum_bytes(batch.data(), bytes) == want
-                       : sample_matches(wi);
-        if (sdc->report) ++(fixed ? sdc->report->repaired
-                                  : sdc->report->unrepaired);
-      }
-      const P2PWork& w = work[wi];
-      const OctreeNode& t = tree.node(w.target);
-      std::size_t j = 0;
-      for (std::uint32_t bt = t.begin; bt < t.begin + t.count; ++bt, ++j)
-        out[bt] += batch[j];
+  for (std::size_t wi = 0; wi < work.size(); ++wi) {
+    const P2PWork& w = work[wi];
+    const OctreeNode& t = tree.node(w.target);
+    compute_batch(w, t);
+    const std::size_t bytes = batch.size() * sizeof(Accum);
+    // ABFT checksum at production time (before the batch "leaves the
+    // device"); also the bit-exact ground truth a repair must reproduce.
+    const std::uint64_t want =
+        check_sums ? sdc_checksum_bytes(batch.data(), bytes) : 0;
+    if (static_cast<std::int64_t>(wi) == inject_wi && !batch.empty()) {
+      // The victim double is seed-picked across the whole batch: corruption
+      // can land in any accumulator field of any target body.
+      double* doubles = reinterpret_cast<double*>(batch.data());
+      sdc_flip_double_bit(
+          doubles[sdc_pick(sdc->seed >> 7, bytes / sizeof(double))],
+          static_cast<int>(sdc->seed >> 17));
+      if (sdc->report) ++sdc->report->injected;
     }
-  };
-
-  GpuRunResult result =
-      simulate_p2p_timing(tree, work, Kernel::flops_per_interaction(), system,
-                          health);
-  if (result.cpu_fallback) {
-    std::vector<int> all(work.size());
-    for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
-    execute(all);
-    return result;
+    bool bad = false;
+    if (check_sums) bad = sdc_checksum_bytes(batch.data(), bytes) != want;
+    if (!bad && sample_stride > 0 && wi % sample_stride == 0)
+      bad = !sample_matches(w, t);
+    if (bad) {
+      if (sdc->report) ++sdc->report->detected;
+      // Surgical repair: recompute just this batch, then prove the repair
+      // bit-exact against the production-time checksum (or the sampled
+      // re-evaluation when checksums are off).
+      compute_batch(w, t);
+      const bool fixed =
+          check_sums ? sdc_checksum_bytes(batch.data(), bytes) == want
+                     : sample_matches(w, t);
+      if (sdc->report) ++(fixed ? sdc->report->repaired
+                                : sdc->report->unrepaired);
+    }
+    for (std::uint32_t j = 0; j < t.count; ++j) out[t.begin + j] += batch[j];
   }
 
-  const auto weights = device_weights(system, health);
-  const auto assignment = partition_p2p_work(work, weights, system.partition);
-  for (const auto& assigned : assignment) execute(assigned);
-  return result;
+  return simulate_p2p_timing(tree, work, Kernel::flops_per_interaction(),
+                             system, health);
 }
 
 }  // namespace afmm

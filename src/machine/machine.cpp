@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "cpusched/task_sim.hpp"
@@ -159,6 +160,15 @@ FarFieldBreakdown build_and_schedule(const ExpansionContext& ctx,
 
 }  // namespace
 
+void NodeSimulator::set_cpu_cores(int cores) {
+  if (cores < 1)
+    throw std::invalid_argument(
+        "NodeSimulator: CpuModelConfig::num_cores must be >= 1, got " +
+        std::to_string(cores));
+  cpu_.num_cores = cores;
+  health_.reset(gpus_.devices.size(), cores);
+}
+
 ObservedStepTimes NodeSimulator::simulate_far_field(
     const ExpansionContext& ctx, const AdaptiveOctree& tree,
     const InteractionLists& lists, int m2l_passes) const {
@@ -209,15 +219,19 @@ ObservedStepTimes NodeSimulator::observe_step(const ExpansionContext& ctx,
                                               double flops_per_interaction,
                                               int m2l_passes) const {
   ObservedStepTimes t = simulate_far_field(ctx, tree, lists, m2l_passes);
-  const auto gpu = simulate_p2p_timing(tree, lists.p2p, flops_per_interaction,
-                                       gpus_, &health_);
-  if (gpu.cpu_fallback) {
-    t.cpu_p2p_seconds = cpu_p2p_seconds(gpu.total_interactions);
-  } else {
-    t.gpu_seconds = gpu.max_kernel_seconds;
-  }
-  t.transfer_retries = gpu.timeline.retries;
+  charge_near_field(simulate_p2p_timing(tree, lists.p2p, flops_per_interaction,
+                                        gpus_, &health_),
+                    t);
   return t;
+}
+
+void NodeSimulator::charge_near_field(const GpuRunResult& gpu,
+                                      ObservedStepTimes& times) const {
+  if (gpu.cpu_fallback)
+    times.cpu_p2p_seconds = cpu_p2p_seconds(gpu.total_interactions);
+  else
+    times.gpu_seconds = gpu.max_kernel_seconds;
+  times.transfer_retries = gpu.timeline.retries;
 }
 
 std::shared_ptr<const DagSchedule> NodeSimulator::overlap_step(

@@ -152,17 +152,15 @@ struct ObservedStepTimes {
 
 class NodeSimulator {
  public:
+  // Throws std::invalid_argument when cpu.num_cores < 1.
   NodeSimulator(CpuModelConfig cpu, GpuSystemConfig gpus)
       : cpu_(cpu), gpus_(std::move(gpus)) {
-    health_.reset(gpus_.devices.size(), cpu_.num_cores);
+    set_cpu_cores(cpu_.num_cores);
   }
 
   const CpuModelConfig& cpu() const { return cpu_; }
   const GpuSystemConfig& gpus() const { return gpus_; }
-  void set_cpu_cores(int cores) {
-    cpu_.num_cores = cores;
-    health_.reset(gpus_.devices.size(), cores);
-  }
+  void set_cpu_cores(int cores);
 
   // Overlap execution mode of this node (default kAuto: AFMM_OVERLAP env).
   void set_overlap(OverlapMode mode) { overlap_ = mode; }
@@ -204,6 +202,12 @@ class NodeSimulator {
   // currently effective cores -- the near-field cost when every GPU is lost
   // (graceful-degradation fallback; embarrassingly parallel over targets).
   double cpu_p2p_seconds(std::uint64_t interactions) const;
+
+  // Charges the near field of one step into `times`: the GPU kernel time,
+  // or -- every GPU lost -- the CPU time of its interactions, plus the
+  // transfer retries. Both solvers and observe_step charge through here.
+  void charge_near_field(const GpuRunResult& gpu,
+                         ObservedStepTimes& times) const;
 
   // Full timing-only observation of one solve on `tree`: far-field task
   // graphs on the effective cores plus the P2P phase on the surviving GPUs

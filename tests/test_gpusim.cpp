@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
+#include <utility>
 
 #include "gpusim/gpu_model.hpp"
 #include "gpusim/p2p_executor.hpp"
 #include "gpusim/partition.hpp"
 #include "kernels/gravity.hpp"
+#include "kernels/stokeslet.hpp"
 #include "octree/octree.hpp"
 #include "octree/traversal.hpp"
 #include "util/rng.hpp"
@@ -249,6 +252,42 @@ TEST(P2PExecutor, ForcesMatchDirectReference) {
       }
     }
   }
+
+  // An empty work list adds nothing and leaves `out` as it was.
+  const std::vector<GravityAccum> before = out;
+  const auto res = run_p2p(tree, std::vector<P2PWork>{}, kernel,
+                           std::span<const GravitySource>(sources), perm,
+                           GpuSystemConfig::uniform(2),
+                           std::span<GravityAccum>(out));
+  EXPECT_EQ(res.total_interactions, 0u);
+  EXPECT_EQ(std::memcmp(before.data(), out.data(), n * sizeof(GravityAccum)),
+            0);
+}
+
+// Runs the near field of `kernel` over `sources` on each system (health
+// registry optional) and expects bitwise-identical accumulators.
+template <typename Kernel>
+void expect_same_near_field(
+    const AdaptiveOctree& tree, const std::vector<P2PWork>& work,
+    const Kernel& kernel,
+    const std::vector<typename Kernel::Source>& sources,
+    const std::vector<std::pair<GpuSystemConfig, const MachineHealth*>>&
+        systems) {
+  using Accum = typename Kernel::Accum;
+  const std::size_t n = sources.size();
+  std::vector<Accum> first(n);
+  for (std::size_t k = 0; k < systems.size(); ++k) {
+    std::vector<Accum> out(n);
+    run_p2p(tree, work, kernel,
+            std::span<const typename Kernel::Source>(sources), tree.perm(),
+            systems[k].first, std::span<Accum>(out), systems[k].second);
+    if (k == 0) {
+      first = out;
+      continue;
+    }
+    EXPECT_EQ(std::memcmp(first.data(), out.data(), n * sizeof(Accum)), 0)
+        << "system " << k;
+  }
 }
 
 TEST(P2PExecutor, ResultIndependentOfGpuCount) {
@@ -259,22 +298,32 @@ TEST(P2PExecutor, ResultIndependentOfGpuCount) {
   tree.build(pts, unit_config(25));
   const auto lists = build_interaction_lists(tree);
   const auto pos = tree.sorted_positions();
-  const auto perm = tree.perm();
-  std::vector<GravitySource> sources(n);
-  for (int t = 0; t < n; ++t) sources[t] = {pos[t], 1.0};
 
-  GravityKernel kernel;
-  std::vector<GravityAccum> a(n), b(n);
-  run_p2p(tree, lists.p2p, kernel, std::span<const GravitySource>(sources),
-          perm, GpuSystemConfig::uniform(1), std::span<GravityAccum>(a));
-  run_p2p(tree, lists.p2p, kernel, std::span<const GravitySource>(sources),
-          perm, GpuSystemConfig::uniform(4), std::span<GravityAccum>(b));
-  // Work is partitioned by whole target nodes, so per-target source order --
-  // and hence bitwise results -- are identical for any GPU count.
-  for (int i = 0; i < n; ++i) {
-    EXPECT_EQ(a[i].pot, b[i].pot);
-    EXPECT_EQ(a[i].grad, b[i].grad);
-  }
+  // Every device dead: the near field is flagged cpu_fallback and charged
+  // to the CPU, with the same forces.
+  MachineHealth all_dead;
+  all_dead.reset(3, 4);
+  for (auto& g : all_dead.gpus) g.alive = false;
+  const std::vector<std::pair<GpuSystemConfig, const MachineHealth*>> systems{
+      {GpuSystemConfig::uniform(1), nullptr},
+      {GpuSystemConfig::uniform(4), nullptr},
+      {GpuSystemConfig::uniform(3), &all_dead}};
+
+  // The forces do not depend on the device assignment: per-target source
+  // order -- and hence every bit -- is fixed by the work item alone.
+  std::vector<GravitySource> masses(n);
+  for (int t = 0; t < n; ++t) masses[t] = {pos[t], 1.0};
+  expect_same_near_field(tree, lists.p2p, GravityKernel{}, masses, systems);
+
+  std::vector<StokesletSource> forces(n);
+  for (int t = 0; t < n; ++t)
+    forces[t] = {pos[t], {rng.uniform(-1, 1), rng.uniform(-1, 1),
+                          rng.uniform(-1, 1)}};
+  expect_same_near_field(tree, lists.p2p, StokesletKernel(1e-3), forces,
+                         systems);
+  EXPECT_TRUE(simulate_p2p_timing(tree, lists.p2p, 20.0,
+                                  GpuSystemConfig::uniform(3), &all_dead)
+                  .cpu_fallback);
 }
 
 TEST(P2PExecutor, MoreGpusReduceKernelTime) {

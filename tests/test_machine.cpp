@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -49,6 +51,37 @@ TEST(CpuModel, TaskSecondsScalesWithFlops) {
   CpuModelConfig cpu;
   EXPECT_NEAR(cpu.task_seconds(2e6, 1), 2.0 * cpu.task_seconds(1e6, 1), 1e-12);
   EXPECT_GT(cpu.task_seconds(1e6, 32), cpu.task_seconds(1e6, 1));
+}
+
+TEST(NodeSimulator, RejectsCoreCountBelowOne) {
+  for (int cores : {0, -3}) {
+    CpuModelConfig cpu;
+    cpu.num_cores = cores;
+    try {
+      NodeSimulator node(cpu, GpuSystemConfig::uniform(1));
+      ADD_FAILURE() << "num_cores=" << cores << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("CpuModelConfig::num_cores"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(1));
+  EXPECT_THROW(node.set_cpu_cores(0), std::invalid_argument);
+  EXPECT_EQ(node.cpu().num_cores, CpuModelConfig{}.num_cores);
+  node.set_cpu_cores(1);
+  EXPECT_EQ(node.cpu().num_cores, 1);
+}
+
+TEST(NodeSimulator, RejectsNegativeGpuCount) {
+  try {
+    GpuSystemConfig::uniform(-1);
+    ADD_FAILURE() << "num_gpus=-1 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("num_gpus"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(GpuSystemConfig::uniform(0).devices.empty());
 }
 
 class MachineFixture : public ::testing::Test {
@@ -162,7 +195,7 @@ TEST_F(MachineFixture, OverlapStepScheduleIsWellFormed) {
   const auto gpu =
       simulate_p2p_timing(tree_, lists_.p2p, 20.0, node.gpus(), &node.health());
   ASSERT_FALSE(gpu.cpu_fallback);
-  t.gpu_seconds = gpu.max_kernel_seconds;
+  node.charge_near_field(gpu, t);
   const auto sched = node.overlap_step(ctx, tree_, lists_, gpu, 1, t);
   ASSERT_TRUE(sched);
   ASSERT_FALSE(sched->tasks.empty());
@@ -215,7 +248,7 @@ TEST_F(MachineFixture, OverlapBeatsSerializedSweepsOnCpuDominantStep) {
   const auto gpu =
       simulate_p2p_timing(tree_, lists_.p2p, 20.0, node.gpus(), &node.health());
   ASSERT_FALSE(gpu.cpu_fallback);
-  t.gpu_seconds = gpu.max_kernel_seconds;
+  node.charge_near_field(gpu, t);
   ASSERT_GT(t.cpu_seconds, t.gpu_seconds);  // CPU-dominant as constructed
   node.overlap_step(ctx, tree_, lists_, gpu, 1, t);
   EXPECT_LT(t.overlap_seconds, t.cpu_up_seconds + t.cpu_down_seconds);
@@ -233,7 +266,7 @@ TEST_F(MachineFixture, OverlapStepCoversCpuFallback) {
   const auto gpu =
       simulate_p2p_timing(tree_, lists_.p2p, 20.0, node.gpus(), &node.health());
   ASSERT_TRUE(gpu.cpu_fallback);
-  t.cpu_p2p_seconds = node.cpu_p2p_seconds(gpu.total_interactions);
+  node.charge_near_field(gpu, t);
   const auto sched = node.overlap_step(ctx, tree_, lists_, gpu, 1, t);
   EXPECT_EQ(sched->gpu_lanes, 0);
   EXPECT_GT(t.overlap_seconds, 0.0);

@@ -51,6 +51,16 @@ void check_pair_coverage(const AdaptiveOctree& tree,
           ++cover[static_cast<std::size_t>(bt) * n + bs];
     }
   }
+  // The near-field executor adds each work item into its target span once:
+  // it relies on one work item per target node and on disjoint spans.
+  std::vector<int> target_items(tree.num_nodes(), 0);
+  std::vector<int> body_items(n, 0);
+  for (const auto& w : lists.p2p) {
+    EXPECT_EQ(++target_items[w.target], 1)
+        << "node " << w.target << " is the target of two P2P work items";
+    for (int bt : bodies_of(w.target))
+      EXPECT_EQ(++body_items[bt], 1) << "body " << bt << " targeted twice";
+  }
   for (const auto& w : lists.p2p)
     for (int src : w.sources)
       for (int bt : bodies_of(w.target))
