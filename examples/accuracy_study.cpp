@@ -13,10 +13,14 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
+#include "example_args.hpp"
+
 using namespace afmm;
 
-int main(int argc, char** argv) {
-  const int n = argc > 1 ? std::atoi(argv[1]) : 2000;
+namespace {
+
+int run(int argc, char** argv) {
+  const int n = example::positive_arg(argc, argv, 1, "N", 2000);
 
   Rng rng(11);
   auto set = uniform_cube(static_cast<std::size_t>(n), rng, {0.5, 0.5, 0.5},
@@ -61,4 +65,11 @@ int main(int argc, char** argv) {
   }
   table.print("AFMM accuracy vs expansion order p and MAC theta");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return example::guarded_main("accuracy_study [N]",
+                               [&] { return run(argc, argv); });
 }

@@ -23,6 +23,8 @@
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
+#include "example_args.hpp"
+
 using namespace afmm;
 
 namespace {
@@ -35,7 +37,7 @@ const char* flag(int argc, char** argv, const char* key, const char* fallback) {
 
 long flag_long(int argc, char** argv, const char* key, long fallback) {
   const char* v = flag(argc, argv, key, nullptr);
-  return v ? std::atol(v) : fallback;
+  return v ? example::parse_long(v, key) : fallback;
 }
 
 ParticleSet make_distribution(const std::string& dist, long n, Rng& rng) {
@@ -117,6 +119,7 @@ int cmd_simulate(int argc, char** argv) {
   Rng rng(1);
   const long n = flag_long(argc, argv, "--n", 20000);
   const long steps = flag_long(argc, argv, "--steps", 50);
+  if (steps < 1) throw std::invalid_argument("--steps must be >= 1");
   auto set = make_distribution(flag(argc, argv, "--dist", "plummer"), n, rng);
 
   SimulationConfig cfg;

@@ -10,11 +10,15 @@
 #include "core/simulation.hpp"
 #include "util/rng.hpp"
 
+#include "example_args.hpp"
+
 using namespace afmm;
 
-int main(int argc, char** argv) {
-  const int n = argc > 1 ? std::atoi(argv[1]) : 20000;
-  const int steps = argc > 2 ? std::atoi(argv[2]) : 80;
+namespace {
+
+int run(int argc, char** argv) {
+  const int n = example::positive_arg(argc, argv, 1, "N", 20000);
+  const int steps = example::positive_arg(argc, argv, 2, "steps", 80);
 
   Rng rng(7);
   PlummerOptions opt;
@@ -59,4 +63,11 @@ int main(int argc, char** argv) {
   }
   std::printf("final energy: %.6f\n", sim.total_energy());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return example::guarded_main("galaxy_collision [N] [steps]",
+                               [&] { return run(argc, argv); });
 }

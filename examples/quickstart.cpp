@@ -10,10 +10,14 @@
 #include "dist/distributions.hpp"
 #include "util/rng.hpp"
 
+#include "example_args.hpp"
+
 using namespace afmm;
 
-int main(int argc, char** argv) {
-  const int n = argc > 1 ? std::atoi(argv[1]) : 20000;
+namespace {
+
+int run(int argc, char** argv) {
+  const int n = example::positive_arg(argc, argv, 1, "N", 20000);
 
   // 1. Make a particle distribution (a Plummer sphere here).
   Rng rng(42);
@@ -67,4 +71,11 @@ int main(int argc, char** argv) {
   std::printf("max relative potential error over %d sampled bodies: %.2e\n",
               sample, worst);
   return worst < 1e-3 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return example::guarded_main("quickstart [N]",
+                               [&] { return run(argc, argv); });
 }

@@ -13,11 +13,15 @@
 #include "dist/distributions.hpp"
 #include "util/rng.hpp"
 
+#include "example_args.hpp"
+
 using namespace afmm;
 
-int main(int argc, char** argv) {
-  const int n = argc > 1 ? std::atoi(argv[1]) : 5000;
-  const int steps = argc > 2 ? std::atoi(argv[2]) : 40;
+namespace {
+
+int run(int argc, char** argv) {
+  const int n = example::positive_arg(argc, argv, 1, "N", 5000);
+  const int steps = example::positive_arg(argc, argv, 2, "steps", 40);
 
   // Spherical blob of radius 1 near the top of a tall domain.
   Rng rng(3);
@@ -59,4 +63,11 @@ int main(int argc, char** argv) {
   }
   std::printf("the blob settles and broadens (torus instability).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return example::guarded_main("sedimentation [N] [steps]",
+                               [&] { return run(argc, argv); });
 }

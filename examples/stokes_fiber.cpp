@@ -13,11 +13,15 @@
 #include "dist/distributions.hpp"
 #include "util/stats.hpp"
 
+#include "example_args.hpp"
+
 using namespace afmm;
 
-int main(int argc, char** argv) {
-  const int n = argc > 1 ? std::atoi(argv[1]) : 3000;
-  const int steps = argc > 2 ? std::atoi(argv[2]) : 10;
+namespace {
+
+int run(int argc, char** argv) {
+  const int n = example::positive_arg(argc, argv, 1, "N", 3000);
+  const int steps = example::positive_arg(argc, argv, 2, "steps", 10);
 
   std::vector<Vec3> forces;
   auto pos = helical_fiber(static_cast<std::size_t>(n), /*radius=*/0.3,
@@ -67,4 +71,11 @@ int main(int argc, char** argv) {
     std::printf("step %2d: mean |u| = %.4f\n", s, mean_speed / n);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return example::guarded_main("stokes_fiber [N] [steps]",
+                               [&] { return run(argc, argv); });
 }

@@ -39,62 +39,18 @@ void CostModel::observe(const ObservedStepTimes& t, int num_cores) {
                             ? eff
                             : (alpha_ * eff + (1 - alpha_) * c_.cpu_efficiency);
   }
-  // Per-sweep efficiencies, observed whenever the sweep makespans are
-  // reported (the serialized builder always fills them).
-  const double up_work = t.t_p2m + t.t_m2m;
-  if (t.cpu_up_seconds > 0.0 && num_cores > 0 && std::isfinite(up_work)) {
-    const double eff =
-        std::clamp(up_work / (t.cpu_up_seconds * num_cores), 0.05, 1.0);
-    c_.up_efficiency = (observations_ == 0)
-                           ? eff
-                           : (alpha_ * eff + (1 - alpha_) * c_.up_efficiency);
-  }
-  const double down_work = t.t_m2l + t.t_l2l + t.t_l2p;
-  if (t.cpu_down_seconds > 0.0 && num_cores > 0 && std::isfinite(down_work)) {
-    const double eff =
-        std::clamp(down_work / (t.cpu_down_seconds * num_cores), 0.05, 1.0);
-    c_.down_efficiency =
-        (observations_ == 0) ? eff
-                             : (alpha_ * eff + (1 - alpha_) * c_.down_efficiency);
-  }
-  // Overlap-executor observables, learned only from steps the merged DAG
-  // actually ran (they describe the relaxed-barrier schedule, which the
-  // serialized path never produces).
-  if (t.overlap_seconds > 0.0) {
-    if (t.overlap_cpu_seconds > 0.0 && num_cores > 0 && std::isfinite(work)) {
-      const double eff =
-          std::clamp(work / (t.overlap_cpu_seconds * num_cores), 0.05, 1.0);
-      c_.overlap_efficiency =
-          (overlap_observations_ == 0)
-              ? eff
-              : (alpha_ * eff + (1 - alpha_) * c_.overlap_efficiency);
-    }
-    if (t.gpu_seconds > 0.0 && t.overlap_near_seconds > 0.0) {
-      const double gap =
-          std::max(0.0, t.overlap_near_seconds - t.gpu_seconds);
-      if (std::isfinite(gap))
-        c_.near_overhead_seconds =
-            (overlap_observations_ == 0)
-                ? gap
-                : (alpha_ * gap + (1 - alpha_) * c_.near_overhead_seconds);
-    }
-    ++overlap_observations_;
-  }
   ++observations_;
 }
 
-double CostModel::far_work(const OpCounts& m) const {
-  return c_.p2m_per_body * static_cast<double>(m.p2m_bodies) +
-         c_.m2m * static_cast<double>(m.m2m) +
-         c_.m2l * static_cast<double>(m.m2l) +
-         c_.l2l * static_cast<double>(m.l2l) +
-         c_.l2p_per_body * static_cast<double>(m.l2p_bodies);
-}
-
 double CostModel::predict_far(const OpCounts& m, int num_cores) const {
+  const double work = c_.p2m_per_body * static_cast<double>(m.p2m_bodies) +
+                      c_.m2m * static_cast<double>(m.m2m) +
+                      c_.m2l * static_cast<double>(m.m2l) +
+                      c_.l2l * static_cast<double>(m.l2l) +
+                      c_.l2p_per_body * static_cast<double>(m.l2p_bodies);
   const double denom =
       std::max(1e-9, static_cast<double>(num_cores) * c_.cpu_efficiency);
-  return far_work(m) / denom;
+  return work / denom;
 }
 
 double CostModel::predict_cpu(const OpCounts& m, int num_cores) const {
@@ -116,45 +72,6 @@ double CostModel::predict_near(const OpCounts& m) const {
 
 double CostModel::predict_compute(const OpCounts& m, int num_cores) const {
   return std::max(predict_cpu(m, num_cores), predict_gpu(m));
-}
-
-CostModel::FarPhasePrediction CostModel::predict_far_phases(
-    const OpCounts& m, int num_cores) const {
-  FarPhasePrediction out;
-  const double up_work = c_.p2m_per_body * static_cast<double>(m.p2m_bodies) +
-                         c_.m2m * static_cast<double>(m.m2m);
-  const double down_work =
-      c_.m2l * static_cast<double>(m.m2l) +
-      c_.l2l * static_cast<double>(m.l2l) +
-      c_.l2p_per_body * static_cast<double>(m.l2p_bodies);
-  const double cores = static_cast<double>(num_cores);
-  out.up_seconds = up_work / std::max(1e-9, cores * c_.up_efficiency);
-  out.down_seconds = down_work / std::max(1e-9, cores * c_.down_efficiency);
-  return out;
-}
-
-double CostModel::predict_far_overlap(const OpCounts& m, int num_cores) const {
-  // Until the overlap executor has run once, price the far field at the
-  // serialized schedule's efficiency -- a pessimistic but safe stand-in.
-  const double eff = overlap_observations_ > 0 ? c_.overlap_efficiency
-                                               : c_.cpu_efficiency;
-  const double denom = std::max(1e-9, static_cast<double>(num_cores) * eff);
-  return far_work(m) / denom;
-}
-
-double CostModel::predict_compute_overlap(const OpCounts& m,
-                                          int num_cores) const {
-  // CPU side: overlapped far field plus the CPU-fallback near field (it
-  // shares the same cores). GPU side: kernel time plus the learned
-  // launch/transfer overhead of the slowest lane. The event-driven step
-  // finishes when the later side drains -- max, but without the serialized
-  // model's inter-sweep and near/far barriers.
-  const double cpu_side = predict_far_overlap(m, num_cores) +
-                          c_.p2p_cpu * static_cast<double>(m.p2p_interactions);
-  const double gpu_kernel = predict_gpu(m);
-  const double gpu_side =
-      gpu_kernel > 0.0 ? gpu_kernel + c_.near_overhead_seconds : 0.0;
-  return std::max(cpu_side, gpu_side);
 }
 
 }  // namespace afmm

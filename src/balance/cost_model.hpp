@@ -34,19 +34,6 @@ struct CostCoefficients {
   double p2p_cpu = 0.0;
   // Observed parallel efficiency of the far-field task schedule.
   double cpu_efficiency = 1.0;
-  // Per-sweep parallel efficiencies (up = P2M+M2M, down = the rest): the
-  // overlap model predicts the sweeps separately because the merged DAG
-  // relaxes the inter-sweep barrier.
-  double up_efficiency = 1.0;
-  double down_efficiency = 1.0;
-  // Parallel efficiency of the CPU side of the merged overlap DAG (far-field
-  // work / (last CPU task finish * cores)); learned only from steps the
-  // overlap executor actually ran.
-  double overlap_efficiency = 1.0;
-  // Learned gap between the GPU-lane finish and the bare kernel time in the
-  // overlap schedule (launch + upload + download + retries of the slowest
-  // lane); zero until an overlap step with live GPUs is observed.
-  double near_overhead_seconds = 0.0;
 };
 
 // Learned state of the model (checkpoint/restore); the smoothing factor is
@@ -54,7 +41,6 @@ struct CostCoefficients {
 struct CostModelSnapshot {
   CostCoefficients coefficients;
   int observations = 0;
-  int overlap_observations = 0;
 };
 
 class CostModel {
@@ -74,17 +60,15 @@ class CostModel {
   void reset() { *this = CostModel(alpha_); }
 
   CostModelSnapshot snapshot() const {
-    return {c_, observations_, overlap_observations_};
+    return {c_, observations_};
   }
   void restore(const CostModelSnapshot& snap) {
     c_ = snap.coefficients;
     observations_ = snap.observations;
-    overlap_observations_ = snap.overlap_observations;
   }
 
   bool ready() const { return observations_ > 0; }
   int observations() const { return observations_; }
-  int overlap_observations() const { return overlap_observations_; }
   const CostCoefficients& coefficients() const { return c_; }
 
   // Predicted wall-clock times for a (possibly hypothetical) tree whose
@@ -99,32 +83,12 @@ class CostModel {
   double predict_near(const OpCounts& m) const;
   double predict_compute(const OpCounts& m, int num_cores) const;
 
-  // Per-phase far-field decomposition (DESIGN.md section 14): predicted
-  // wall clock of the up sweep and the down sweep separately, using the
-  // per-sweep efficiencies.
-  struct FarPhasePrediction {
-    double up_seconds = 0.0;
-    double down_seconds = 0.0;
-  };
-  FarPhasePrediction predict_far_phases(const OpCounts& m,
-                                        int num_cores) const;
-
-  // Overlap-aware analogs of predict_far / predict_compute: the far field
-  // priced at the merged-DAG efficiency (falls back to cpu_efficiency until
-  // an overlap step has been observed), and the step time as the max of the
-  // overlapped CPU side and the GPU-lane finish -- the event-driven
-  // counterpart of max(CPU, GPU).
-  double predict_far_overlap(const OpCounts& m, int num_cores) const;
-  double predict_compute_overlap(const OpCounts& m, int num_cores) const;
-
  private:
   void blend(double& coef, double total, double count);
-  double far_work(const OpCounts& m) const;
 
   double alpha_;
   CostCoefficients c_;
   int observations_ = 0;
-  int overlap_observations_ = 0;
 };
 
 }  // namespace afmm

@@ -85,7 +85,7 @@ bool LoadBalancer::gap_ok(const ObservedStepTimes& t) const {
   // the near field has fallen back to the CPU.
   const double gap = std::abs(t.far_seconds() - t.near_seconds());
   return gap <= std::max(config_.gap_seconds,
-                         config_.gap_relative * observed_compute(t));
+                         config_.gap_relative * t.compute_seconds());
 }
 
 namespace {
@@ -138,7 +138,7 @@ int LoadBalancer::fine_grained_optimize(AdaptiveOctree& tree,
   int total_ops = 0;
 
   OpCounts counts = dry_run(tree);
-  double current = predict_compute_live(counts, cores);
+  double current = model_.predict_compute(counts, cores);
   r.lb_seconds += node.enforce_seconds(1, tree.num_bodies());
 
   for (int batch = 0; batch < config_.fgo_max_batches; ++batch) {
@@ -207,7 +207,7 @@ int LoadBalancer::fine_grained_optimize(AdaptiveOctree& tree,
     }
     counts += count_operations_touching(tree, applied, traversal_);
     counts -= before;
-    const double predicted = predict_compute_live(counts, cores);
+    const double predicted = model_.predict_compute(counts, cores);
     r.lb_seconds += node.enforce_seconds(k, tree.num_bodies());
 
     if (predicted < current) {
@@ -243,10 +243,6 @@ LbStepReport LoadBalancer::post_step(AdaptiveOctree& tree,
 
   const int cores = node.effective_cores();
 
-  // Objective selection for this step: optimize the event-driven makespan
-  // only when the executor actually overlapped AND the config wants it.
-  overlap_live_ = config_.overlap_aware && observed.overlap_seconds > 0.0;
-
   // Shift detection must run against the PRE-observation predictions: letting
   // this step blend into the EWMA first would halve the divergence it is
   // trying to measure.
@@ -277,7 +273,7 @@ LbStepReport LoadBalancer::post_step(AdaptiveOctree& tree,
   model_.observe(observed, cores);
 
   if (reset_best_next_) {
-    best_compute_ = observed_compute(observed);
+    best_compute_ = observed.compute_seconds();
     reset_best_next_ = false;
   }
 
@@ -335,7 +331,7 @@ void LoadBalancer::step_search(AdaptiveOctree& tree,
                     search_steps_ >= config_.max_search_steps ||
                     search_hi_ - search_lo_ <= std::max(1, search_lo_ / 8);
   if (done) {
-    best_compute_ = observed_compute(observed);
+    best_compute_ = observed.compute_seconds();
     if (config_.strategy == LbStrategy::kFull) {
       state_ = LbState::kIncremental;
       last_dominant_ = observed.far_seconds() > observed.near_seconds() ? +1
@@ -359,7 +355,7 @@ void LoadBalancer::step_search(AdaptiveOctree& tree,
   const int next = std::clamp(static_cast<int>(std::lround(mid)),
                               config_.min_S, config_.max_S);
   if (next == s_) {
-    best_compute_ = observed_compute(observed);
+    best_compute_ = observed.compute_seconds();
     state_ = (config_.strategy == LbStrategy::kFull) ? LbState::kIncremental
                                                      : LbState::kObservation;
     return;
@@ -381,8 +377,8 @@ void LoadBalancer::step_incremental(AdaptiveOctree& tree,
     if (!gap_ok(observed) && config_.enable_fgo)
       fine_grained_optimize(tree, node, r);
     best_compute_ = best_compute_ < 0.0
-                        ? observed_compute(observed)
-                        : std::min(observed_compute(observed), best_compute_);
+                        ? observed.compute_seconds()
+                        : std::min(observed.compute_seconds(), best_compute_);
     state_ = LbState::kObservation;
     last_dominant_ = 0;
     return;
@@ -393,7 +389,7 @@ void LoadBalancer::step_incremental(AdaptiveOctree& tree,
   const int next =
       std::clamp(s_ + dominant * step, config_.min_S, config_.max_S);
   if (next == s_) {
-    best_compute_ = observed_compute(observed);
+    best_compute_ = observed.compute_seconds();
     state_ = LbState::kObservation;
     return;
   }
@@ -405,7 +401,7 @@ void LoadBalancer::step_observation(AdaptiveOctree& tree,
                                     const ObservedStepTimes& observed,
                                     const NodeSimulator& node,
                                     LbStepReport& r) {
-  const double compute = observed_compute(observed);
+  const double compute = observed.compute_seconds();
   if (best_compute_ < 0.0 || compute < best_compute_) best_compute_ = compute;
   if (compute <= best_compute_ * (1.0 + config_.band)) return;  // all good
 
@@ -424,7 +420,7 @@ void LoadBalancer::step_observation(AdaptiveOctree& tree,
 
   const int cores = node.effective_cores();
   OpCounts counts = dry_run(tree);
-  double predicted = predict_compute_live(counts, cores);
+  double predicted = model_.predict_compute(counts, cores);
   r.lb_seconds += node.enforce_seconds(1, tree.num_bodies());
 
   if (predicted > best_compute_ * (1.0 + config_.band) && config_.enable_fgo) {

@@ -86,14 +86,6 @@ struct LoadBalancerConfig {
   // machine changed" from "the tree no longer fits the bodies". Disable for
   // deployments whose faults bypass the registry.
   bool shift_requires_epoch = true;
-  // Objective selection under overlap execution (DESIGN.md section 14). When
-  // true (default) the balancer optimizes the step time that actually
-  // elapsed -- the event-driven DAG makespan when the overlap executor ran,
-  // the serialized max(CPU, GPU) otherwise -- and prices hypothetical trees
-  // with the matching prediction. When false it always scores the serialized
-  // max(CPU, GPU), even while the executor overlaps (the bench's ablation
-  // arm: converges to the barrier-model S, executes under overlap).
-  bool overlap_aware = true;
 };
 
 struct LbStepReport {
@@ -170,18 +162,6 @@ class LoadBalancer {
   }
 
  private:
-  // The step time the balancer optimizes (see config.overlap_aware).
-  double observed_compute(const ObservedStepTimes& t) const {
-    return config_.overlap_aware ? t.compute_seconds()
-                                 : t.serialized_compute_seconds();
-  }
-  // Prediction matching observed_compute: overlap-aware only while the
-  // executor is actually overlapping (overlap_live_), so predictions and
-  // observations are always the same quantity.
-  double predict_compute_live(const OpCounts& m, int cores) const {
-    return overlap_live_ ? model_.predict_compute_overlap(m, cores)
-                         : model_.predict_compute(m, cores);
-  }
   bool gap_ok(const ObservedStepTimes& t) const;
   // True when observed-vs-predicted divergence says the machine changed.
   bool capability_shift(const ObservedStepTimes& observed, int cores) const;
@@ -231,10 +211,6 @@ class LoadBalancer {
   // is considered absorbed without a shift.
   std::uint64_t last_epoch_ = 0;
   int epoch_pending_ = 0;
-
-  // True while the overlap executor is running steps (derived per post_step
-  // from the observation, gated on config.overlap_aware; not checkpointed).
-  bool overlap_live_ = false;
 };
 
 }  // namespace afmm

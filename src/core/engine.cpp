@@ -220,7 +220,6 @@ void SimulationEngine<Problem>::finish_step_obs(const StepRecord& rec) {
   in.wall_ops = pending_obs_->wall.get();
   in.t0 = virtual_now_;
   in.rebin_seconds = pending_obs_->rebin_seconds;
-  in.dag = pending_obs_->dag.get();
   in.cache_builds = list_cache_.builds();
   in.cache_hits = list_cache_.hits();
   in.cache_refreshes = list_cache_.refreshes();
@@ -278,7 +277,6 @@ StepRecord SimulationEngine<Problem>::step_core() {
     obs.faults = std::move(fired);
     if (config_.obs.wall_ops) obs.wall = res.real_timings;
     obs.rebin_seconds = rebin_s;
-    obs.dag = res.dag;
     pending_obs_.emplace(std::move(obs));
   }
   problem_.post_solve(config_.dt);

@@ -301,7 +301,6 @@ class SimulationEngine {
     std::vector<FaultEvent> faults;
     std::shared_ptr<OpTimers> wall;
     double rebin_seconds = 0.0;
-    std::shared_ptr<const DagSchedule> dag;
   };
   std::unique_ptr<TraceRecorder> trace_;
   std::unique_ptr<MetricsRegistry> metrics_;

@@ -337,9 +337,6 @@ typename FmmSolver<Kernel>::Fields FmmSolver<Kernel>::solve_fields(
 
   out.times = node_.simulate_far_field(far_.context(), tree, lists, passes);
   node_.charge_near_field(out.gpu, out.times);
-  if (node_.overlap_enabled())
-    out.dag = node_.overlap_step(far_.context(), tree, lists, out.gpu, passes,
-                                 out.times);
   out.stats = make_stats(tree, lists);
   return fields;
 }

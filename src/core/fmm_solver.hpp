@@ -95,9 +95,6 @@ struct SolveOutcome {
   std::shared_ptr<OpTimers> real_timings;
   // SDC activity inside this solve (injections, detections, repairs).
   SdcReport sdc;
-  // Executed overlap schedule (null unless the node's overlap executor ran);
-  // purely observational -- the numerics never depend on it.
-  std::shared_ptr<const DagSchedule> dag;
 };
 
 struct GravityResult : SolveOutcome {

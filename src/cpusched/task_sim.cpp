@@ -31,22 +31,8 @@ void check_overhead(double seconds) {
 int TaskGraphSim::add_task(double seconds) {
   check_duration(seconds);
   duration_.push_back(seconds);
-  lane_.push_back(kCpuPool);
   out_edges_.emplace_back();
   in_degree_.push_back(0);
-  return static_cast<int>(duration_.size()) - 1;
-}
-
-int TaskGraphSim::add_lane_task(int lane, double seconds) {
-  if (lane < 0)
-    throw std::invalid_argument("TaskGraphSim: lane must be >= 0, got " +
-                                std::to_string(lane));
-  check_duration(seconds);
-  duration_.push_back(seconds);
-  lane_.push_back(lane);
-  out_edges_.emplace_back();
-  in_degree_.push_back(0);
-  num_lanes_ = std::max(num_lanes_, lane + 1);
   return static_cast<int>(duration_.size()) - 1;
 }
 
@@ -72,8 +58,7 @@ double TaskGraphSim::total_work() const {
 
 double TaskGraphSim::critical_path(double per_task_overhead_seconds) const {
   check_overhead(per_task_overhead_seconds);
-  // Kahn order; dist[t] = longest finishing time ending at t. Lane tasks pay
-  // no per-task overhead (they are async engine segments, not omp tasks).
+  // Kahn order; dist[t] = longest finishing time ending at t.
   std::vector<int> indeg = in_degree_;
   std::vector<double> dist(duration_.size(), 0.0);
   std::queue<int> q;
@@ -85,11 +70,7 @@ double TaskGraphSim::critical_path(double per_task_overhead_seconds) const {
     const int t = q.front();
     q.pop();
     ++seen;
-    const double ov =
-        lane_[static_cast<std::size_t>(t)] == kCpuPool
-            ? per_task_overhead_seconds
-            : 0.0;
-    dist[t] += duration_[t] + ov;
+    dist[t] += duration_[t] + per_task_overhead_seconds;
     best = std::max(best, dist[t]);
     for (int nxt : out_edges_[t]) {
       dist[nxt] = std::max(dist[nxt], dist[t]);
@@ -112,25 +93,16 @@ double TaskGraphSim::makespan(int workers, double per_task_overhead_seconds,
   if (n == 0) return 0.0;
 
   std::vector<int> indeg = in_degree_;
-  // Ready tasks compete by ascending task id (min-heaps), never by edge
-  // insertion order: one heap for the CPU pool, one per serial lane.
+  // Ready tasks compete by ascending task id (min-heap), never by edge
+  // insertion order.
   using MinHeap = std::priority_queue<int, std::vector<int>, std::greater<>>;
-  MinHeap cpu_ready;
-  std::vector<MinHeap> lane_ready(static_cast<std::size_t>(num_lanes_));
-  auto mark_ready = [&](int t) {
-    const int lane = lane_[static_cast<std::size_t>(t)];
-    if (lane == kCpuPool)
-      cpu_ready.push(t);
-    else
-      lane_ready[static_cast<std::size_t>(lane)].push(t);
-  };
+  MinHeap ready;
   for (std::size_t i = 0; i < n; ++i)
-    if (indeg[i] == 0) mark_ready(static_cast<int>(i));
+    if (indeg[i] == 0) ready.push(static_cast<int>(i));
 
-  // Free CPU worker slots by ascending slot id, for a deterministic schedule.
-  MinHeap free_cpu;
-  for (int w = 0; w < workers; ++w) free_cpu.push(w);
-  std::vector<char> lane_busy(static_cast<std::size_t>(num_lanes_), 0);
+  // Free worker slots by ascending slot id, for a deterministic schedule.
+  MinHeap free_slots;
+  for (int w = 0; w < workers; ++w) free_slots.push(w);
 
   // Min-heap of (finish time, task id): equal-time completions pop in
   // task-id order.
@@ -144,26 +116,15 @@ double TaskGraphSim::makespan(int workers, double per_task_overhead_seconds,
   std::size_t done = 0;
 
   auto dispatch = [&] {
-    while (!free_cpu.empty() && !cpu_ready.empty()) {
-      const int t = cpu_ready.top();
-      cpu_ready.pop();
-      const int slot = free_cpu.top();
-      free_cpu.pop();
+    while (!free_slots.empty() && !ready.empty()) {
+      const int t = ready.top();
+      ready.pop();
+      const int slot = free_slots.top();
+      free_slots.pop();
       const std::size_t ti = static_cast<std::size_t>(t);
       slot_of[ti] = slot;
       start_of[ti] = now;
       running.emplace(now + duration_[ti] + per_task_overhead_seconds, t);
-    }
-    for (int lane = 0; lane < num_lanes_; ++lane) {
-      const std::size_t li = static_cast<std::size_t>(lane);
-      if (lane_busy[li] || lane_ready[li].empty()) continue;
-      const int t = lane_ready[li].top();
-      lane_ready[li].pop();
-      lane_busy[li] = 1;
-      const std::size_t ti = static_cast<std::size_t>(t);
-      slot_of[ti] = lane;
-      start_of[ti] = now;
-      running.emplace(now + duration_[ti], t);
     }
   };
 
@@ -181,13 +142,10 @@ double TaskGraphSim::makespan(int workers, double per_task_overhead_seconds,
       running.pop();
       ++done;
       const std::size_t ti = static_cast<std::size_t>(t);
-      if (lane_[ti] == kCpuPool)
-        free_cpu.push(slot_of[ti]);
-      else
-        lane_busy[static_cast<std::size_t>(lane_[ti])] = 0;
+      free_slots.push(slot_of[ti]);
       if (schedule) schedule->push_back({t, slot_of[ti], start_of[ti], now});
       for (int nxt : out_edges_[ti])
-        if (--indeg[static_cast<std::size_t>(nxt)] == 0) mark_ready(nxt);
+        if (--indeg[static_cast<std::size_t>(nxt)] == 0) ready.push(nxt);
     }
     dispatch();
   }

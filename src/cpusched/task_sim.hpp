@@ -1,5 +1,4 @@
-// Work-conserving makespan simulator for OpenMP-style task DAGs, extended
-// with serial "lanes" for heterogeneous resources.
+// Work-conserving makespan simulator for OpenMP-style task DAGs.
 //
 // The paper parallelizes every tree phase with "#pragma omp task" per child
 // and a taskwait at the parent (Section III.B). The numeric phases of this
@@ -10,16 +9,9 @@
 // OpenMP work-stealing runtime at this granularity (Brent's bound is tight
 // for these wide, shallow tree DAGs).
 //
-// Heterogeneous resources (DESIGN.md section 14): besides the P-worker CPU
-// pool, a task can be pinned to a numbered *lane* -- a serial resource that
-// executes one task at a time, the way a CUDA default stream serializes the
-// upload / kernel / download segments of one GPU. Lanes run concurrently
-// with each other and with the CPU pool, so a graph mixing pool tasks and
-// lane tasks yields the event-driven makespan of a data-driven CPU/GPU step.
-//
 // Contract (total for all inputs, matching gpusim/partition.hpp):
-//   * add_task / add_lane_task reject negative or non-finite durations, and
-//     add_lane_task rejects lane < 0, with std::invalid_argument;
+//   * add_task rejects negative or non-finite durations with
+//     std::invalid_argument;
 //   * add_dependency rejects out-of-range ids and self-edges with
 //     std::invalid_argument;
 //   * makespan rejects workers < 1; makespan and critical_path reject
@@ -42,34 +34,21 @@ namespace afmm {
 
 class TaskGraphSim {
  public:
-  // Lane id of tasks scheduled on the CPU worker pool.
-  static constexpr int kCpuPool = -1;
-
-  // Adds a CPU-pool task with the given execution time; returns its id.
+  // Adds a task with the given execution time; returns its id.
   int add_task(double seconds);
-
-  // Adds a task pinned to serial lane `lane` (>= 0); returns its id. Lane
-  // tasks pay no per-task overhead (they model asynchronous engine segments,
-  // not omp task spawns).
-  int add_lane_task(int lane, double seconds);
 
   // `before` must finish before `after` may start.
   void add_dependency(int before, int after);
 
   int num_tasks() const { return static_cast<int>(duration_.size()); }
-  // Number of distinct lanes referenced (max lane id + 1).
-  int num_lanes() const { return num_lanes_; }
-  // Lane of a task: kCpuPool or the lane id passed to add_lane_task.
-  int task_lane(int task) const { return lane_[static_cast<std::size_t>(task)]; }
-  double total_work() const;  // sum of task durations (pool + lanes)
+  double total_work() const;  // sum of task durations
 
   // Longest chain through the DAG (critical path), including per-task
-  // overhead on CPU-pool tasks; the P -> infinity limit of the makespan.
+  // overhead; the P -> infinity limit of the makespan.
   double critical_path(double per_task_overhead_seconds = 0.0) const;
 
-  // One dispatched task of the executed schedule. `worker` is the CPU worker
-  // slot in [0, workers) for pool tasks and the lane id for lane tasks;
-  // `finish - start` includes the per-task overhead for pool tasks.
+  // One dispatched task of the executed schedule. `worker` is the worker
+  // slot in [0, workers); `finish - start` includes the per-task overhead.
   struct Scheduled {
     int task = -1;
     int worker = -1;
@@ -77,8 +56,8 @@ class TaskGraphSim {
     double finish = 0.0;
   };
 
-  // Greedy list-scheduled makespan on `workers` CPU cores plus every lane.
-  // Ready tasks are dispatched in ascending task id; each CPU-pool task pays
+  // Greedy list-scheduled makespan on `workers` cores. Ready tasks are
+  // dispatched in ascending task id; each task pays
   // `per_task_overhead_seconds` extra (task creation + scheduling cost).
   // When `schedule` is non-null it receives the executed dispatch, ordered
   // by (start, task id).
@@ -87,10 +66,8 @@ class TaskGraphSim {
 
  private:
   std::vector<double> duration_;
-  std::vector<int> lane_;  // kCpuPool or lane id per task
   std::vector<std::vector<int>> out_edges_;
   std::vector<int> in_degree_;
-  int num_lanes_ = 0;
 };
 
 }  // namespace afmm

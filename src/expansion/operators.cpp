@@ -2,16 +2,28 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 namespace afmm {
 
+namespace {
+
+// Runs before any member is sized from the order.
+int checked_order(int order) {
+  if (order < 1 || order > 16)
+    throw std::invalid_argument(
+        "ExpansionContext: FmmConfig::order must be in [1, 16], got " +
+        std::to_string(order));
+  return order;
+}
+
+}  // namespace
+
 ExpansionContext::ExpansionContext(int order)
-    : p_(order),
+    : p_(checked_order(order)),
       set_p_(order),
       set_q_(2 * order >= order + 1 ? 2 * order : order + 1),
       derivs_(set_q_) {
-  if (order < 1 || order > 16)
-    throw std::invalid_argument("ExpansionContext: order must be in [1,16]");
 
   const int n = set_p_.size();
 

@@ -89,8 +89,6 @@ StepTimeline plan_step(const TransferLinkConfig& link,
     tl.retries += up_retries + down_retries;
     tl.retry_seconds += (up - transfer_seconds(link, g.upload_bytes)) +
                         (down - down_once);
-    tl.upload_each.push_back(up);
-    tl.download_each.push_back(down);
   }
   tl.download_seconds += download_stream_max;
   return tl;

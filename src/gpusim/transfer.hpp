@@ -74,12 +74,6 @@ struct StepTimeline {
   double download_seconds = 0.0;  // blocking gather after CPU work is done
   double retry_seconds = 0.0;     // total failed-attempt + backoff time paid
   int retries = 0;                // failed transfer attempts across all GPUs
-  // Per-input-shape retry-inclusive transfer times, in plan_step input
-  // order. The DAG executor uses these as the per-GPU lane segment
-  // durations (lanes stream independently, so each lane pays its own full
-  // transfer rather than the host-serialized gather formula above).
-  std::vector<double> upload_each;
-  std::vector<double> download_each;
   // Wall clock of the heterogeneous step given the CPU far-field time.
   double step_seconds(double cpu_far_field_seconds) const {
     const double concurrent =

@@ -2,37 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
 #include "cpusched/task_sim.hpp"
 
 namespace afmm {
-
-const char* to_string(DagTaskKind kind) {
-  switch (kind) {
-    case DagTaskKind::kUp: return "up";
-    case DagTaskKind::kDown: return "down";
-    case DagTaskKind::kLaunch: return "launch";
-    case DagTaskKind::kCpuP2p: return "p2p-cpu";
-    case DagTaskKind::kUpload: return "upload";
-    case DagTaskKind::kKernel: return "kernel";
-    case DagTaskKind::kDownload: return "download";
-  }
-  return "?";
-}
-
-OverlapMode resolved_overlap_mode(OverlapMode mode) {
-  if (mode != OverlapMode::kAuto) return mode;
-  static const OverlapMode from_env = [] {
-    const char* e = std::getenv("AFMM_OVERLAP");
-    return (e && (std::string(e) == "1" || std::string(e) == "on"))
-               ? OverlapMode::kOn
-               : OverlapMode::kOff;
-  }();
-  return from_env;
-}
 
 double CpuModelConfig::effective_rate(int p) const {
   const int sockets_used =
@@ -67,8 +42,7 @@ struct FarFieldBreakdown {
 
 // Per-operation flops of one node's sweep tasks. up()/down() sum their
 // addends in the exact order the historical builder accumulated them, so
-// task durations stay bitwise identical across the serialized and overlap
-// builders.
+// task durations stay bitwise identical to the recorded timelines.
 struct NodeSweepFlops {
   double p2m = 0.0, m2m = 0.0;                                    // up-sweep
   double m2l = 0.0, l2l = 0.0, l2p = 0.0, m2p = 0.0, p2l = 0.0;  // down-sweep
@@ -178,8 +152,6 @@ ObservedStepTimes NodeSimulator::simulate_far_field(
   cpu.num_cores = effective_cores();
   const auto bd = build_and_schedule(ctx, tree, lists, cpu, m2l_passes);
   t.cpu_seconds = bd.up_makespan + bd.down_makespan;
-  t.cpu_up_seconds = bd.up_makespan;
-  t.cpu_down_seconds = bd.down_makespan;
   t.counts = count_operations(tree, lists);
   t.t_p2m = bd.t_p2m;
   t.t_m2m = bd.t_m2m;
@@ -232,153 +204,6 @@ void NodeSimulator::charge_near_field(const GpuRunResult& gpu,
   else
     times.gpu_seconds = gpu.max_kernel_seconds;
   times.transfer_retries = gpu.timeline.retries;
-}
-
-std::shared_ptr<const DagSchedule> NodeSimulator::overlap_step(
-    const ExpansionContext& ctx, const AdaptiveOctree& tree,
-    const InteractionLists& lists, const GpuRunResult& gpu, int m2l_passes,
-    ObservedStepTimes& times) const {
-  CpuModelConfig cpu = cpu_;
-  cpu.num_cores = effective_cores();
-  const int p = cpu.num_cores;
-  const double ov = cpu.task_overhead_us * 1e-6;
-  const double passes = static_cast<double>(m2l_passes);
-
-  TaskGraphSim dag;
-  struct TaskInfo {
-    DagTaskKind kind;
-    int node;
-  };
-  std::vector<TaskInfo> info;
-  auto add_cpu = [&](DagTaskKind kind, int node, double seconds) {
-    const int id = dag.add_task(seconds);
-    info.push_back({kind, node});
-    return id;
-  };
-  auto add_lane = [&](DagTaskKind kind, int node, int lane, double seconds) {
-    const int id = dag.add_lane_task(lane, seconds);
-    info.push_back({kind, node});
-    return id;
-  };
-
-  // GPU lanes first, so the host launch holds the smallest task id and
-  // dispatches ahead of the far field at t = 0 -- the paper's dedicated
-  // launch thread inside the parallel region. Each alive device is one
-  // serial lane: upload -> kernel -> download, durations exactly as
-  // plan_step charged them (retry-inclusive; lanes stream independently,
-  // so each pays its own full transfer).
-  int lanes = 0;
-  if (!gpu.cpu_fallback) {
-    int launch = -1;
-    std::size_t alive = 0;
-    for (std::size_t dev = 0; dev < gpu.per_gpu.size(); ++dev) {
-      const GpuTransferShape shape =
-          dev < gpu.transfers.size() ? gpu.transfers[dev] : GpuTransferShape{};
-      if (shape.upload_bytes == 0 && shape.download_bytes == 0 &&
-          gpu.per_gpu[dev].seconds <= 0.0)
-        continue;  // dead or workless device: no lane
-      const double up_s = alive < gpu.timeline.upload_each.size()
-                              ? gpu.timeline.upload_each[alive]
-                              : 0.0;
-      const double down_s = alive < gpu.timeline.download_each.size()
-                                ? gpu.timeline.download_each[alive]
-                                : 0.0;
-      ++alive;
-      if (launch < 0)
-        launch = add_cpu(DagTaskKind::kLaunch, -1, gpu.timeline.launch_seconds);
-      const int lane = lanes++;
-      const int d = static_cast<int>(dev);
-      const int up = add_lane(DagTaskKind::kUpload, d, lane, up_s);
-      const int kr = add_lane(DagTaskKind::kKernel, d, lane,
-                              gpu.per_gpu[dev].seconds);
-      const int down = add_lane(DagTaskKind::kDownload, d, lane, down_s);
-      dag.add_dependency(launch, up);
-      dag.add_dependency(up, kr);
-      dag.add_dependency(kr, down);
-    }
-  } else if (gpu.total_interactions > 0) {
-    // All GPUs lost: the near field is P embarrassingly parallel CPU shares
-    // competing with the far-field tasks from t = 0 (no barrier between
-    // them -- that is the point of the data-driven executor).
-    const double share = cpu_p2p_seconds(gpu.total_interactions);
-    for (int i = 0; i < p; ++i) add_cpu(DagTaskKind::kCpuP2p, i, share);
-  }
-
-  // Merged far field: same per-node task durations as build_and_schedule,
-  // but one graph. Up edges child -> parent, down edges parent -> child,
-  // and a cross edge from each M2L/M2P source's up task into the consumer's
-  // down task (the source multipole must be complete before translation).
-  // P2L reads source bodies directly, so it needs no up-sweep edge.
-  // All up tasks take lower ids than any down task: equal-readiness ties
-  // break toward the up sweep, whose results unlock the M2L-gated down
-  // tasks (a list-scheduling priority, not a barrier -- a ready down task
-  // still runs the moment a worker has no up work to take).
-  std::vector<int> up_id(tree.num_nodes(), -1);
-  std::vector<int> down_id(tree.num_nodes(), -1);
-  auto visit_up = [&](auto&& self, int id) -> void {
-    const OctreeNode& n = tree.node(id);
-    if (n.count == 0) return;
-    const NodeSweepFlops f = node_sweep_flops(ctx, tree, lists, id, passes);
-    up_id[id] = add_cpu(DagTaskKind::kUp, id, cpu.task_seconds(f.up(), p));
-    if (n.parent >= 0 && up_id[n.parent] >= 0)
-      dag.add_dependency(up_id[id], up_id[n.parent]);
-    if (!tree.is_effective_leaf(id))
-      for (int c : n.children) self(self, c);
-  };
-  auto visit_down = [&](auto&& self, int id) -> void {
-    const OctreeNode& n = tree.node(id);
-    if (n.count == 0) return;
-    const NodeSweepFlops f = node_sweep_flops(ctx, tree, lists, id, passes);
-    down_id[id] =
-        add_cpu(DagTaskKind::kDown, id, cpu.task_seconds(f.down(), p));
-    if (n.parent >= 0 && down_id[n.parent] >= 0)
-      dag.add_dependency(down_id[n.parent], down_id[id]);
-    if (!tree.is_effective_leaf(id))
-      for (int c : n.children) self(self, c);
-  };
-  if (!tree.empty()) {
-    visit_up(visit_up, tree.root());
-    visit_down(visit_down, tree.root());
-  }
-  for (int id = 0; id < tree.num_nodes(); ++id) {
-    if (down_id[id] < 0) continue;
-    for (std::uint32_t e = lists.m2l_offset[id]; e < lists.m2l_offset[id + 1];
-         ++e) {
-      const int src = lists.m2l_sources[e];
-      if (up_id[src] >= 0) dag.add_dependency(up_id[src], down_id[id]);
-    }
-    if (!lists.m2p_offset.empty()) {
-      for (std::uint32_t e = lists.m2p_offset[id];
-           e < lists.m2p_offset[id + 1]; ++e) {
-        const int src = lists.m2p_sources[e];
-        if (up_id[src] >= 0) dag.add_dependency(up_id[src], down_id[id]);
-      }
-    }
-  }
-
-  auto schedule = std::make_shared<DagSchedule>();
-  schedule->cpu_workers = p;
-  schedule->gpu_lanes = lanes;
-  if (dag.num_tasks() == 0) return schedule;
-
-  std::vector<TaskGraphSim::Scheduled> executed;
-  schedule->makespan = dag.makespan(p, ov, &executed);
-  times.overlap_seconds = schedule->makespan;
-  double cpu_finish = 0.0;
-  double lane_finish = 0.0;
-  schedule->tasks.reserve(executed.size());
-  for (const auto& s : executed) {
-    const TaskInfo& ti = info[static_cast<std::size_t>(s.task)];
-    if (dag.task_lane(s.task) == TaskGraphSim::kCpuPool)
-      cpu_finish = std::max(cpu_finish, s.finish);
-    else
-      lane_finish = std::max(lane_finish, s.finish);
-    schedule->tasks.push_back(
-        {ti.kind, ti.node, s.worker, s.start, s.finish - s.start});
-  }
-  times.overlap_cpu_seconds = cpu_finish;
-  times.overlap_near_seconds = lane_finish;
-  return schedule;
 }
 
 double NodeSimulator::rebuild_seconds(std::size_t bodies, int nodes) const {

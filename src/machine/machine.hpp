@@ -12,16 +12,6 @@
 // plus the per-operation virtual time totals and application counts that the
 // cost model (balance/cost_model.hpp) turns into observed coefficients.
 //
-// Overlap execution (DESIGN.md section 14): the bulk-synchronous
-// max(CPU, GPU) model above keeps the far field and the GPU near field on
-// opposite sides of a barrier. With OverlapMode::kOn (or AFMM_OVERLAP=1) the
-// node instead schedules ONE merged task DAG -- per-node P2M->M2M edges up,
-// cross edges from each M2L/M2P source's up task into the consumer's down
-// task, L2L->L2P down, and per-GPU upload->kernel->download lanes hanging
-// off the non-blocking launch -- on P CPU workers plus the GPU lanes, and
-// the step's Compute Time becomes that event-driven makespan. Only virtual
-// time changes: the numerics never consult the timeline.
-//
 // The CPU core model charges each task flops / effective_rate +
 // bytes / bandwidth_share. The bandwidth share saturates at high core counts
 // (Fig. 6's flattening) while a small shared-cache bonus per extra socket
@@ -30,7 +20,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "expansion/operators.hpp"
@@ -67,41 +56,12 @@ struct CpuModelConfig {
   double task_seconds(double flops, int p) const;
 };
 
-// How a step's virtual timeline is computed. kAuto resolves once per process
-// from the AFMM_OVERLAP environment variable ("1" or "on" selects kOn), so
-// whole test suites can run either way without code changes.
-enum class OverlapMode : std::uint8_t { kAuto = 0, kOff = 1, kOn = 2 };
-OverlapMode resolved_overlap_mode(OverlapMode mode);
-
-// One task of the executed overlap schedule, for observability timelines.
-enum class DagTaskKind : std::uint8_t {
-  kUp = 0,       // P2M + M2M of one tree node           (CPU pool)
-  kDown = 1,     // M2L + L2L + L2P (+M2P/P2L) of a node (CPU pool)
-  kLaunch = 2,   // host-side non-blocking GPU launch    (CPU pool)
-  kCpuP2p = 3,   // near-field share, all-GPUs-lost path (CPU pool)
-  kUpload = 4,   // body + work-list upload              (GPU lane)
-  kKernel = 5,   // P2P kernel interval                  (GPU lane)
-  kDownload = 6, // per-target result download           (GPU lane)
-};
-
-const char* to_string(DagTaskKind kind);
-
-struct DagTaskSpan {
-  DagTaskKind kind = DagTaskKind::kUp;
-  int node = -1;    // tree node id (kUp/kDown), device id (lane kinds)
-  int worker = -1;  // CPU worker slot or GPU lane id
-  double start = 0.0;
-  double seconds = 0.0;
-};
-
-// Executed schedule of one overlap step, attached to the solve result when
-// overlap execution is on (physics-free: observability and benches only).
-struct DagSchedule {
-  std::vector<DagTaskSpan> tasks;
-  double makespan = 0.0;
-  int cpu_workers = 0;
-  int gpu_lanes = 0;
-};
+// The only step timeline is the paper's bulk-synchronous one above, so there
+// is nothing to select. This one-value enum and the no-op
+// NodeSimulator::set_overlap exist only because the benchmark's workload
+// definition (perfbench/workloads.hpp) still pins "overlap off" through them;
+// both go away with the next change to the benchmark.
+enum class OverlapMode : std::uint8_t { kOff };
 
 // One step's observed timings; the "observational coefficients" of Section
 // IV.D are derived from op_seconds[i] / op_counts.
@@ -113,24 +73,10 @@ struct ObservedStepTimes {
   double cpu_p2p_seconds = 0.0;
   // Failed transfer attempts charged by the retry model this step.
   int transfer_retries = 0;
-  // Per-sweep split of cpu_seconds (up = P2M+M2M, down = the rest); the
-  // overlap cost model predicts the sweeps separately.
-  double cpu_up_seconds = 0.0;
-  double cpu_down_seconds = 0.0;
-  // Event-driven makespan of the merged step DAG (zero when overlap
-  // execution is off). When set it IS the step's compute time; the
-  // serialized quantities above are still reported for comparison.
-  double overlap_seconds = 0.0;
-  double overlap_cpu_seconds = 0.0;   // finish of the last CPU-pool task
-  double overlap_near_seconds = 0.0;  // finish of the last GPU-lane task
   // The paper's bulk-synchronous wall clock: max(CPU far + CPU near, GPU).
-  double serialized_compute_seconds() const {
+  double compute_seconds() const {
     const double cpu = cpu_seconds + cpu_p2p_seconds;
     return cpu > gpu_seconds ? cpu : gpu_seconds;
-  }
-  double compute_seconds() const {
-    return overlap_seconds > 0.0 ? overlap_seconds
-                                 : serialized_compute_seconds();
   }
   // The balancer's two sides of the scale: expansion (far) work vs direct
   // (near) work, wherever the near field currently executes.
@@ -162,12 +108,8 @@ class NodeSimulator {
   const GpuSystemConfig& gpus() const { return gpus_; }
   void set_cpu_cores(int cores);
 
-  // Overlap execution mode of this node (default kAuto: AFMM_OVERLAP env).
-  void set_overlap(OverlapMode mode) { overlap_ = mode; }
-  OverlapMode overlap_mode() const { return overlap_; }
-  bool overlap_enabled() const {
-    return resolved_overlap_mode(overlap_) == OverlapMode::kOn;
-  }
+  // No-op kept for perfbench/workloads.hpp (see OverlapMode).
+  void set_overlap(OverlapMode) {}
 
   // Live health registry (written by the fault injector, read everywhere the
   // provisioned configuration used to be consulted).
@@ -220,18 +162,6 @@ class NodeSimulator {
                                  double flops_per_interaction = 20.0,
                                  int m2l_passes = 1) const;
 
-  // Data-driven re-execution of one already-simulated step as a merged task
-  // DAG on the effective CPU cores plus one serial lane per alive GPU (see
-  // the header comment). Task durations are byte-identical to the ones
-  // simulate_far_field / simulate_p2p_timing charged -- only the *ordering*
-  // changes, so the event-driven makespan is a pure re-timing of the same
-  // work. Fills times.overlap_* (times must carry this step's counts and
-  // gpu/cpu_p2p fields already) and returns the executed schedule.
-  std::shared_ptr<const DagSchedule> overlap_step(
-      const ExpansionContext& ctx, const AdaptiveOctree& tree,
-      const InteractionLists& lists, const GpuRunResult& gpu, int m2l_passes,
-      ObservedStepTimes& times) const;
-
   // Tree maintenance cost model (rebuilds / rebins / enforce passes), used
   // to charge load-balancing time. Coarse per-body / per-node constants.
   double rebuild_seconds(std::size_t bodies, int nodes) const;
@@ -242,7 +172,6 @@ class NodeSimulator {
   CpuModelConfig cpu_;
   GpuSystemConfig gpus_;
   MachineHealth health_;
-  OverlapMode overlap_ = OverlapMode::kAuto;
 };
 
 }  // namespace afmm

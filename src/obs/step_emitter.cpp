@@ -119,25 +119,6 @@ void emit_trace(TraceRecorder& tr, const StepObsInput& in) {
                   TraceArg::num("retry_seconds", tl.retry_seconds)});
   }
 
-  // ---- overlap execution: the DAG schedule that actually ran --------------
-  // One track per CPU worker / GPU lane, one span per executed task, so the
-  // Perfetto timeline shows the far field filling CPU workers while GPU
-  // lanes stream. Emitted only when the overlap executor ran: serialized
-  // traces stay byte-identical.
-  if (in.dag && !in.dag->tasks.empty()) {
-    for (const auto& s : in.dag->tasks) {
-      if (s.seconds <= 0.0) continue;
-      const bool lane = s.kind == DagTaskKind::kUpload ||
-                        s.kind == DagTaskKind::kKernel ||
-                        s.kind == DagTaskKind::kDownload;
-      const std::string track =
-          T((lane ? "dag gpu" : "dag cpu") + std::to_string(s.worker));
-      tr.span(kV, track, to_string(s.kind), "dag", t_solve + s.start,
-              s.seconds, {TraceArg::num("node", s.node)});
-    }
-    tr.counter(kV, T("counters"), "overlap_seconds", t0, t.overlap_seconds);
-  }
-
   // ---- faults applied before this solve -----------------------------------
   for (const auto& f : in.faults)
     tr.instant(kV, T("faults"), to_string(f.kind), "fault", t_solve,
@@ -233,15 +214,6 @@ void emit_metrics(MetricsRegistry& mr, const StepObsInput& in) {
   m.set_gauge("health.effective_cores", rec.effective_cores);
   m.set_gauge("health.cpu_fallback", rec.cpu_fallback ? 1 : 0);
   m.set_gauge("health.transfer_retries", rec.transfer_retries);
-  // Overlap gauges only exist when the DAG executor ran, so the metrics
-  // fingerprint of serialized runs is unchanged.
-  if (in.times->overlap_seconds > 0.0) {
-    m.set_gauge("step.overlap_seconds", in.times->overlap_seconds);
-    m.set_gauge("step.serialized_compute_seconds",
-                in.times->serialized_compute_seconds());
-    m.set_gauge("step.overlap_cpu_seconds", in.times->overlap_cpu_seconds);
-    m.set_gauge("step.overlap_near_seconds", in.times->overlap_near_seconds);
-  }
   m.set_gauge("resilience.audited", rec.audited ? 1 : 0);
   m.set_gauge("resilience.audit_failed", rec.audit_failed ? 1 : 0);
   m.set_gauge("resilience.watchdog_tripped", rec.watchdog_tripped ? 1 : 0);

@@ -30,7 +30,6 @@ struct StepObsInput {
   const TransferLinkConfig* link = nullptr;    // required when gpu is set
   std::vector<FaultEvent> faults;              // events fired before the solve
   const OpTimers* wall_ops = nullptr;          // optional wall-clock per-op times
-  const DagSchedule* dag = nullptr;            // overlap schedule, when it ran
   double t0 = 0.0;                             // virtual time at step start
   double rebin_seconds = 0.0;                  // tree maintenance share of lb
   // Interaction-list cache cumulative instrumentation.

@@ -135,11 +135,6 @@ void put_observed(ByteWriter& w, const ObservedStepTimes& t) {
   w.f64(t.t_l2p);
   w.f64(t.t_m2p);
   w.f64(t.t_p2l);
-  w.f64(t.cpu_up_seconds);
-  w.f64(t.cpu_down_seconds);
-  w.f64(t.overlap_seconds);
-  w.f64(t.overlap_cpu_seconds);
-  w.f64(t.overlap_near_seconds);
 }
 
 ObservedStepTimes get_observed(ByteReader& r) {
@@ -156,11 +151,6 @@ ObservedStepTimes get_observed(ByteReader& r) {
   t.t_l2p = r.f64();
   t.t_m2p = r.f64();
   t.t_p2l = r.f64();
-  t.cpu_up_seconds = r.f64();
-  t.cpu_down_seconds = r.f64();
-  t.overlap_seconds = r.f64();
-  t.overlap_cpu_seconds = r.f64();
-  t.overlap_near_seconds = r.f64();
   return t;
 }
 
@@ -169,11 +159,6 @@ void put_tree(ByteWriter& w, const OctreeSnapshot& t) {
   w.i32(t.config.max_depth);
   put_vec3(w, t.config.root_center);
   w.f64(t.config.root_half);
-  // Two retired v5 bytes: the parallel-build flag (written as 1) and the
-  // build-strategy tag (written as the pointer builder, 1). get_tree
-  // bounds-checks and discards them, so older v5 files still load.
-  w.u8(1);
-  w.u8(1);
   w.u64(t.nodes.size());
   for (const auto& n : t.nodes) {
     put_vec3(w, n.center);
@@ -201,8 +186,6 @@ bool get_tree(ByteReader& r, OctreeSnapshot& t) {
   t.config.max_depth = r.i32();
   t.config.root_center = get_vec3(r);
   t.config.root_half = r.f64();
-  r.u8();                        // retired parallel-build flag
-  if (r.u8() > 2) return false;  // retired build-strategy tag (0..2)
   const std::uint64_t num_nodes = r.u64();
   // Conservative lower bound on a serialized node keeps a corrupt count from
   // allocating unbounded memory.
@@ -258,12 +241,7 @@ void put_balancer(ByteWriter& w, const LoadBalancerSnapshot& b) {
   w.f64(c.p2p);
   w.f64(c.p2p_cpu);
   w.f64(c.cpu_efficiency);
-  w.f64(c.up_efficiency);
-  w.f64(c.down_efficiency);
-  w.f64(c.overlap_efficiency);
-  w.f64(c.near_overhead_seconds);
   w.i32(b.model.observations);
-  w.i32(b.model.overlap_observations);
 }
 
 bool get_balancer(ByteReader& r, LoadBalancerSnapshot& b) {
@@ -288,12 +266,7 @@ bool get_balancer(ByteReader& r, LoadBalancerSnapshot& b) {
   c.p2p = r.f64();
   c.p2p_cpu = r.f64();
   c.cpu_efficiency = r.f64();
-  c.up_efficiency = r.f64();
-  c.down_efficiency = r.f64();
-  c.overlap_efficiency = r.f64();
-  c.near_overhead_seconds = r.f64();
   b.model.observations = r.i32();
-  b.model.overlap_observations = r.i32();
   return r.ok();
 }
 

@@ -49,9 +49,8 @@
 namespace afmm {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x4D4D4641;  // "AFMM"
-// v2: tree section gains a build-strategy byte (retired; still written and
-// range-checked) and stores sorted_pos / perm as single flat byte runs (bulk
-// memcpy on both ends).
+// v2: tree section gains a build-strategy byte (dropped in v6) and stores
+// sorted_pos / perm as single flat byte runs (bulk memcpy on both ends).
 // v3: section CRC covers id + size + payload (not payload alone), and
 // trailing bytes after the last declared section reject the file -- a flipped
 // section-id or section-count byte can no longer slip past validation.
@@ -60,7 +59,10 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x4D4D4641;  // "AFMM"
 // v5: observed section gains the per-sweep split and the overlap makespans;
 // balancer section gains the per-sweep / overlap efficiencies, the near
 // overhead coefficient, and the overlap observation count.
-inline constexpr std::uint32_t kCheckpointVersion = 5;
+// v6: the overlap execution mode is gone: the v5 observed and balancer
+// additions are dropped again, and the tree section no longer carries the
+// two retired bytes (parallel-build flag, build-strategy tag).
+inline constexpr std::uint32_t kCheckpointVersion = 6;
 
 enum class SimKind : std::uint32_t { kGravity = 0, kStokes = 1 };
 

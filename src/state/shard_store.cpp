@@ -463,6 +463,15 @@ std::optional<ShardedCheckpoint> ShardStore::load_latest(
       last_error = path + ": unreadable";
       continue;
     }
+    ByteReader header(*bytes);
+    if (header.u32() == kShardMagic) {
+      const std::uint32_t version = header.u32();
+      if (header.ok() && version != kShardVersion) {
+        last_error = path + ": format version " + std::to_string(version) +
+                     " (expected " + std::to_string(kShardVersion) + ")";
+        continue;
+      }
+    }
     auto m = decode_manifest(*bytes);
     if (!m) {
       last_error = path + ": corrupt manifest";

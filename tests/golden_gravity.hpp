@@ -46,13 +46,9 @@ inline SimulationConfig golden_config() {
 inline GravitySimulation golden_simulation() {
   Rng rng(2026);
   auto bodies = uniform_cube(400, rng, {0.5, 0.5, 0.5}, 0.5);
-  NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
-  // The golden dump encodes the serialized timeline; pin the overlap
-  // executor off so an ambient AFMM_OVERLAP=1 cannot change the *.seconds
-  // series this file fingerprints. (A separate test proves trajectories are
-  // bit-identical either way.)
-  node.set_overlap(OverlapMode::kOff);
-  return GravitySimulation(golden_config(), std::move(node),
+  return GravitySimulation(golden_config(),
+                           NodeSimulator(CpuModelConfig{},
+                                         GpuSystemConfig::uniform(2)),
                            std::move(bodies));
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "balance/load_balancer.hpp"
@@ -363,43 +364,100 @@ TEST(LoadBalancer, IncrementalTransitionRecordsObservedComputeExactly) {
   EXPECT_DOUBLE_EQ(r.best_compute, 1.0);
 }
 
-TEST(LoadBalancer, OverlapAwareSwitchSelectsTheObjective) {
-  // Two balancers digest the same overlap-executed step (event-driven
-  // makespan 0.8 vs serialized max 1.0): the overlap-aware one optimizes
-  // what the step actually cost, the ablation arm keeps scoring the
-  // serialized timeline.
-  Rng rng(99);
-  auto set = uniform_cube(2000, rng, {0.5, 0.5, 0.5}, 0.5);
-  NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
+// Child of `id` whose box contains `p`.
+int child_containing(const AdaptiveOctree& tree, int id, Vec3 p) {
+  for (int c : tree.node(id).children) {
+    const OctreeNode& n = tree.node(c);
+    if (std::abs(p.x - n.center.x) <= n.half &&
+        std::abs(p.y - n.center.y) <= n.half &&
+        std::abs(p.z - n.center.z) <= n.half)
+      return c;
+  }
+  return -1;
+}
 
+// Ids of the nodes beneath a collapsed ancestor: not part of the solve.
+std::vector<int> hidden_nodes(const AdaptiveOctree& tree) {
+  std::vector<int> out;
+  for (int id = 0; id < tree.num_nodes(); ++id)
+    for (int a = tree.node(id).parent; a >= 0; a = tree.node(a).parent)
+      if (tree.node(a).collapsed) {
+        out.push_back(id);
+        break;
+      }
+  return out;
+}
+
+TEST(LoadBalancer, FgoNeverTouchesNodesHiddenBelowACollapsedParent) {
+  // A collapsed parent P over a hidden collapsed child X, then the bodies
+  // of X move away: rebin refreshes P's span but leaves X's stale, so X
+  // (and the leaves below it) still claim the old crowd. FineGrainedOptimize
+  // must pick candidates from the effective tree only; scanning every node
+  // id pushes those hidden nodes down and, when a batch holding both X and
+  // P is reverted, collapses an effective leaf and throws.
+  Rng rng(7);
+  ParticleSet set = uniform_cube(4000, rng, {0.5, 0.5, 0.5}, 0.5);
+  const Vec3 crowd{0.1, 0.1, 0.1};
+  const std::size_t first_crowd = set.positions.size();
+  for (int i = 0; i < 2000; ++i)
+    set.positions.push_back(crowd + Vec3{rng.uniform(-0.01, 0.01),
+                                         rng.uniform(-0.01, 0.01),
+                                         rng.uniform(-0.01, 0.01)});
+  AdaptiveOctree tree;
+  tree.build(set.positions, unit_config(32));
+  const int P = child_containing(tree, tree.root(), crowd);
+  ASSERT_GE(P, 0);
+  const int X = child_containing(tree, P, crowd);
+  ASSERT_GE(X, 0);
+  ASSERT_FALSE(tree.is_effective_leaf(X));
+  tree.collapse(X);
+  tree.collapse(P);
+  for (std::size_t i = first_crowd; i < set.positions.size(); ++i)
+    set.positions[i] += Vec3{0.8, 0.8, 0.8};
+  tree.rebin(set.positions);
+  ASSERT_GT(tree.node(X).count, tree.node(P).count);  // X's span is stale
+
+  struct NodeState {
+    bool collapsed, has_children;
+    std::uint32_t begin, count;
+    bool operator==(const NodeState&) const = default;
+  };
+  auto state_of = [&](int id) {
+    const OctreeNode& n = tree.node(id);
+    return NodeState{n.collapsed, n.has_children, n.begin, n.count};
+  };
+  const std::vector<int> hidden = hidden_nodes(tree);
+  ASSERT_FALSE(hidden.empty());
+  std::vector<NodeState> before;
+  for (int id : hidden) before.push_back(state_of(id));
+
+  // Incremental state whose dominant side flips on this observation with a
+  // wide gap: post_step runs FineGrainedOptimize. Only the near field is
+  // priced, so the optimizer pushes leaves down.
+  LoadBalancerConfig cfg;
+  cfg.shift_relative = 0.0;
+  LoadBalancer lb(cfg, TraversalConfig{});
+  LoadBalancerSnapshot snap = lb.snapshot();
+  snap.state = LbState::kIncremental;
+  snap.S = 32;
+  snap.last_dominant = -1;
+  snap.best_compute = 1.0;
+  snap.model.coefficients.p2p = 1e-9;
+  snap.model.observations = 5;
+  lb.restore(snap);
   ObservedStepTimes obs;
   obs.cpu_seconds = 1.0;
-  obs.gpu_seconds = 1.0;
-  obs.overlap_seconds = 0.8;
-  obs.overlap_cpu_seconds = 0.8;
-  obs.overlap_near_seconds = 0.6;
-  ASSERT_DOUBLE_EQ(obs.compute_seconds(), 0.8);
-  ASSERT_DOUBLE_EQ(obs.serialized_compute_seconds(), 1.0);
+  obs.gpu_seconds = 0.1;
+  NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
 
-  LoadBalancerConfig cfg;
-  cfg.strategy = LbStrategy::kFull;
-  cfg.enable_fgo = false;
-  ASSERT_TRUE(cfg.overlap_aware);  // the default optimizes elapsed time
-
-  LoadBalancer aware(cfg, TraversalConfig{});
-  AdaptiveOctree tree;
-  tree.build(set.positions, unit_config(cfg.initial_S));
-  auto r = aware.post_step(tree, set.positions, obs, node);
-  ASSERT_EQ(r.state_after, LbState::kIncremental);  // balanced: search done
-  EXPECT_DOUBLE_EQ(r.best_compute, 0.8);
-
-  cfg.overlap_aware = false;
-  LoadBalancer serialized(cfg, TraversalConfig{});
-  AdaptiveOctree tree2;
-  tree2.build(set.positions, unit_config(cfg.initial_S));
-  r = serialized.post_step(tree2, set.positions, obs, node);
-  ASSERT_EQ(r.state_after, LbState::kIncremental);
-  EXPECT_DOUBLE_EQ(r.best_compute, 1.0);
+  LbStepReport r;
+  ASSERT_NO_THROW(r = lb.post_step(tree, set.positions, obs, node));
+  EXPECT_GT(r.fgo_ops, 0);
+  const std::vector<int> still = hidden_nodes(tree);
+  for (std::size_t k = 0; k < hidden.size(); ++k)
+    if (std::binary_search(still.begin(), still.end(), hidden[k]))
+      EXPECT_TRUE(state_of(hidden[k]) == before[k])
+          << "hidden node " << hidden[k] << " was modified";
 }
 
 TEST(LoadBalancer, ToStringCoversEnums) {

@@ -10,7 +10,6 @@
 #include "core/simulation.hpp"
 #include "core/stokes_simulation.hpp"
 #include "dist/distributions.hpp"
-#include "state/checkpoint_detail.hpp"
 #include "state/serial.hpp"
 #include "state/shard_store.hpp"
 #include "util/rng.hpp"
@@ -198,61 +197,18 @@ TEST(Checkpoint, RestoredRunIsBitIdenticalWithResilienceEnabled) {
 }
 
 TEST(Checkpoint, VersionMismatchRejected) {
+  // Older files (v5 still carried the overlap fields and two retired tree
+  // bytes) and newer ones are refused by number, never misparsed.
   GravitySimulation sim(base_config(), default_node(), test_bodies(300));
-  auto bytes = encode_checkpoint(sim.checkpoint());
-  bytes[4] += 1;  // format version field sits right after the magic
-  std::string error;
-  EXPECT_FALSE(decode_checkpoint(bytes, &error).has_value());
-  EXPECT_NE(error.find("version"), std::string::npos) << error;
-}
-
-TEST(Checkpoint, RetiredTreeStrategyByteStillLoads) {
-  // v5 tree sections carry a build-strategy byte at offset 41 (after i32
-  // leaf_capacity, i32 max_depth, Vec3 root_center, f64 root_half, u8
-  // parallel flag). Files written with any of its old values (0 auto,
-  // 1 pointer, 2 morton) must decode to the same tree; 3 was never valid.
-  const auto bodies = test_bodies(500);
-  TreeConfig tc = fit_cube(bodies.positions);
-  tc.leaf_capacity = 16;
-  AdaptiveOctree tree;
-  tree.build(bodies.positions, tc);
-  ByteWriter w;
-  ckpt::put_tree(w, tree.snapshot());
-  const std::vector<std::uint8_t> original = w.buffer();
-  constexpr std::size_t kStrategyByte = 41;
-  ASSERT_EQ(original[kStrategyByte], 1);
-
-  for (std::uint8_t tag : {0, 1, 2, 3}) {
+  const auto original = encode_checkpoint(sim.checkpoint());
+  for (const std::uint32_t v : {kCheckpointVersion - 1, kCheckpointVersion + 1}) {
     auto bytes = original;
-    bytes[kStrategyByte] = tag;
-    ByteReader r(bytes);
-    OctreeSnapshot got;
-    const bool ok = ckpt::get_tree(r, got) && r.ok();
-    if (tag == 3) {
-      EXPECT_FALSE(ok);
-      continue;
-    }
-    ASSERT_TRUE(ok) << "tag " << int(tag);
-    EXPECT_EQ(r.remaining(), 0u);
-    AdaptiveOctree restored;
-    restored.restore(got);
-    ASSERT_EQ(restored.num_nodes(), tree.num_nodes());
-    for (int i = 0; i < tree.num_nodes(); ++i) {
-      const auto& a = tree.node(i);
-      const auto& b = restored.node(i);
-      EXPECT_EQ(a.center, b.center);
-      EXPECT_EQ(a.half, b.half);
-      EXPECT_EQ(a.parent, b.parent);
-      EXPECT_EQ(a.children, b.children);
-      EXPECT_EQ(a.has_children, b.has_children);
-      EXPECT_EQ(a.level, b.level);
-      EXPECT_EQ(a.collapsed, b.collapsed);
-      EXPECT_EQ(a.begin, b.begin);
-      EXPECT_EQ(a.count, b.count);
-    }
-    EXPECT_TRUE(std::ranges::equal(restored.perm(), tree.perm()));
-    EXPECT_TRUE(std::ranges::equal(restored.sorted_positions(),
-                                   tree.sorted_positions()));
+    bytes[4] = static_cast<std::uint8_t>(v);  // the version follows the magic
+    std::string error;
+    EXPECT_FALSE(decode_checkpoint(bytes, &error).has_value());
+    EXPECT_NE(error.find("format version " + std::to_string(v)),
+              std::string::npos)
+        << error;
   }
 }
 
@@ -527,6 +483,34 @@ TEST(ShardStore, OwnerPrefixesAndIsolation) {
   ASSERT_TRUE(back.has_value()) << error;
   EXPECT_EQ(back->global.step, 1);
   EXPECT_EQ(back->cluster_blob, ckpt.cluster_blob);
+}
+
+TEST(ShardStore, OlderVersionRejectedByNumber) {
+  const std::string dir = fresh_dir("shard_version");
+  GravitySimulation sim(base_config(), default_node(), test_bodies(300));
+  ShardedCheckpoint ckpt;
+  ckpt.global = sim.checkpoint();
+  ckpt.ranges = {{0, 300}};
+  ShardStore store(dir, 1);
+  std::string error;
+  ASSERT_TRUE(store.save(ckpt, &error)) << error;
+  ASSERT_EQ(store.manifests().size(), 1u);
+  const std::string manifest = store.manifests()[0];
+  std::vector<char> bytes;
+  {
+    std::ifstream in(manifest, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(bytes.size(), 8u);
+  bytes[4] = static_cast<char>(kShardVersion - 1);  // version after magic
+  {
+    std::ofstream out(manifest, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  EXPECT_FALSE(store.load_latest(&error).has_value());
+  EXPECT_NE(error.find("format version " + std::to_string(kShardVersion - 1)),
+            std::string::npos)
+      << error;
 }
 
 TEST(Checkpoint, SimulationStoreWritesOnCadence) {

@@ -42,14 +42,6 @@ GravityProblem make_problem(const EngineConfig& cfg,
   return GravityProblem(cfg.fmm, 1.0, 1e-3, default_node(), std::move(bodies));
 }
 
-GravityProblem make_overlap_problem(const EngineConfig& cfg,
-                                    ParticleSet bodies = test_bodies()) {
-  NodeSimulator node = default_node();
-  node.set_overlap(OverlapMode::kOn);
-  return GravityProblem(cfg.fmm, 1.0, 1e-3, std::move(node),
-                        std::move(bodies));
-}
-
 std::string fresh_dir(const std::string& name) {
   const std::string dir = (fs::path(::testing::TempDir()) / name).string();
   fs::remove_all(dir);
@@ -221,39 +213,6 @@ TEST(Cluster, FaultFreeRunMatchesSingleNodeBitForBit) {
     expect_same_bodies(solo.problem().bodies(),
                        cluster.engine().problem().bodies());
   }
-}
-
-// Regression for the FGO hidden-node bug: the fine-grained optimizer's
-// candidate scan used to walk ALL node ids, so nodes hidden beneath a
-// collapsed ancestor could join a push_down batch. The DAG executor steers
-// the balancer through different S trajectories than serialized execution,
-// and on this workload one of them put a collapsed parent and a hidden
-// collapsed child in the same batch -- the parent's push_down re-hid the
-// child, so the batch revert's collapse() threw "already an effective leaf".
-// Pin overlap ON here (instead of relying on the AFMM_OVERLAP CI leg) so
-// plain test runs regress that trajectory too. The cluster layer is
-// read-only over one inner engine, so the overlap-on cluster run must also
-// stay bit-identical to the overlap-on single-node run.
-TEST(Cluster, OverlapExecutionKeepsFgoOnTheEffectiveTree) {
-  const EngineConfig cfg = base_config();
-  const ParticleSet set = test_bodies();
-  const int steps = 16;
-
-  SimulationEngine<GravityProblem> solo(cfg, make_overlap_problem(cfg, set));
-  const auto ref = solo.run(steps);
-
-  ClusterConfig cc;
-  cc.num_nodes = 2;
-  ClusterEngine<GravityProblem> cluster(cfg, cc,
-                                        make_overlap_problem(cfg, set));
-  const auto recs = cluster.run(steps);
-  ASSERT_EQ(recs.size(), static_cast<std::size_t>(steps));
-  for (int i = 0; i < steps; ++i) {
-    EXPECT_EQ(recs[i].inner.compute_seconds, ref[i].compute_seconds);
-    EXPECT_EQ(recs[i].inner.S, ref[i].S);
-  }
-  expect_same_bodies(solo.problem().bodies(),
-                     cluster.engine().problem().bodies());
 }
 
 // Kill one node mid-run: the heartbeat detector declares it dead, the global

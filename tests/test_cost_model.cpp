@@ -262,94 +262,5 @@ TEST(CostModel, NotReadyBeforeFirstObservation) {
   EXPECT_EQ(model.observations(), 1);
 }
 
-// Canonical observation with per-sweep makespans and overlap fields filled
-// the way the machine model fills them.
-ObservedStepTimes overlap_obs() {
-  ObservedStepTimes t;
-  t.t_p2m = 0.2;
-  t.t_m2m = 0.2;
-  t.t_m2l = 0.8;
-  t.t_l2l = 0.2;
-  t.t_l2p = 0.2;
-  t.counts.p2m_bodies = 1000;
-  t.counts.m2m = 100;
-  t.counts.m2l = 800;
-  t.counts.l2l = 100;
-  t.counts.l2p_bodies = 1000;
-  t.counts.p2p_interactions = 50000;
-  t.cpu_seconds = 1.0;       // (0.4 + 1.2) work on 2 cores, eff 0.8
-  t.cpu_up_seconds = 0.25;   // up work 0.4 on 2 cores, eff 0.8
-  t.cpu_down_seconds = 0.75; // down work 1.2 on 2 cores, eff 0.8
-  t.gpu_seconds = 0.5;
-  t.overlap_seconds = 0.9;
-  t.overlap_cpu_seconds = 0.9;   // work 1.6 / (0.9 * 2) ~= 0.889 eff
-  t.overlap_near_seconds = 0.52; // kernel 0.5 + 0.02 lane overhead
-  return t;
-}
-
-TEST(CostModel, SweepAndOverlapCoefficientsAreObservedRatios) {
-  CostModel model(1.0);
-  const auto t = overlap_obs();
-  model.observe(t, 2);
-  const auto& c = model.coefficients();
-  EXPECT_DOUBLE_EQ(c.up_efficiency, 0.4 / (0.25 * 2));
-  EXPECT_DOUBLE_EQ(c.down_efficiency, 1.2 / (0.75 * 2));
-  EXPECT_DOUBLE_EQ(c.overlap_efficiency, 1.6 / (0.9 * 2));
-  EXPECT_DOUBLE_EQ(c.near_overhead_seconds, 0.52 - 0.5);
-  EXPECT_EQ(model.overlap_observations(), 1);
-
-  // Self-prediction: the phase split reproduces the sweep makespans and the
-  // overlap predictor reproduces the event-driven step.
-  const auto phases = model.predict_far_phases(t.counts, 2);
-  EXPECT_NEAR(phases.up_seconds, 0.25, 1e-12);
-  EXPECT_NEAR(phases.down_seconds, 0.75, 1e-12);
-  EXPECT_NEAR(model.predict_far_overlap(t.counts, 2), 0.9, 1e-12);
-  EXPECT_NEAR(model.predict_compute_overlap(t.counts, 2), 0.9, 1e-12);
-}
-
-TEST(CostModel, SerializedStepsNeverTouchOverlapCoefficients) {
-  CostModel model(1.0);
-  auto t = overlap_obs();
-  t.overlap_seconds = 0.0;  // serialized step: overlap executor never ran
-  t.overlap_cpu_seconds = 0.0;
-  t.overlap_near_seconds = 0.0;
-  model.observe(t, 2);
-  EXPECT_EQ(model.overlap_observations(), 0);
-  EXPECT_DOUBLE_EQ(model.coefficients().overlap_efficiency, 1.0);
-  EXPECT_DOUBLE_EQ(model.coefficients().near_overhead_seconds, 0.0);
-  // The per-sweep efficiencies still learn (the serialized builder reports
-  // the sweep makespans on every step).
-  EXPECT_DOUBLE_EQ(model.coefficients().up_efficiency, 0.8);
-  // Before any overlap observation the overlap predictor falls back to the
-  // serialized efficiency.
-  EXPECT_NEAR(model.predict_far_overlap(t.counts, 2),
-              model.predict_far(t.counts, 2), 1e-12);
-}
-
-TEST(CostModel, OverlapPredictionNeverBelowEitherSide) {
-  CostModel model(1.0);
-  const auto t = overlap_obs();
-  model.observe(t, 2);
-  const double pred = model.predict_compute_overlap(t.counts, 2);
-  EXPECT_GE(pred, model.predict_gpu(t.counts) - 1e-12);
-  EXPECT_GE(pred, model.predict_far_overlap(t.counts, 2) - 1e-12);
-}
-
-TEST(CostModel, SnapshotRoundTripsOverlapState) {
-  CostModel model(1.0);
-  model.observe(overlap_obs(), 2);
-  const auto snap = model.snapshot();
-  EXPECT_EQ(snap.overlap_observations, 1);
-  CostModel other;
-  other.restore(snap);
-  EXPECT_EQ(other.overlap_observations(), 1);
-  const auto& a = model.coefficients();
-  const auto& b = other.coefficients();
-  EXPECT_DOUBLE_EQ(a.up_efficiency, b.up_efficiency);
-  EXPECT_DOUBLE_EQ(a.down_efficiency, b.down_efficiency);
-  EXPECT_DOUBLE_EQ(a.overlap_efficiency, b.overlap_efficiency);
-  EXPECT_DOUBLE_EQ(a.near_overhead_seconds, b.near_overhead_seconds);
-}
-
 }  // namespace
 }  // namespace afmm

@@ -190,8 +190,6 @@ TEST(TaskSim, RejectsBadDurations) {
   EXPECT_THROW(g.add_task(std::nan("")), std::invalid_argument);
   EXPECT_THROW(g.add_task(std::numeric_limits<double>::infinity()),
                std::invalid_argument);
-  EXPECT_THROW(g.add_lane_task(0, -0.5), std::invalid_argument);
-  EXPECT_THROW(g.add_lane_task(-1, 1.0), std::invalid_argument);
   EXPECT_EQ(g.num_tasks(), 0);  // rejected tasks leave no residue
 }
 
@@ -264,57 +262,14 @@ TEST(TaskSim, RandomDagsObeyGreedyBounds) {
   }
 }
 
-TEST(TaskSim, LaneTasksSerializePerLane) {
-  // Three independent segments on one lane never run concurrently, no
-  // matter how many CPU workers exist.
-  TaskGraphSim g;
-  g.add_lane_task(0, 1.0);
-  g.add_lane_task(0, 2.0);
-  g.add_lane_task(0, 3.0);
-  EXPECT_DOUBLE_EQ(g.makespan(8), 6.0);
-  // A second lane streams concurrently with the first.
-  g.add_lane_task(1, 4.0);
-  EXPECT_EQ(g.num_lanes(), 2);
-  EXPECT_DOUBLE_EQ(g.makespan(8), 6.0);
-  // Lane tasks pay no per-task overhead; the pool does.
-  const int cpu = g.add_task(1.0);
-  EXPECT_EQ(g.task_lane(cpu), TaskGraphSim::kCpuPool);
-  EXPECT_DOUBLE_EQ(g.makespan(8, 0.5), 6.0);
-}
-
-TEST(TaskSim, LanesOverlapWithCpuPool) {
-  // upload -> kernel -> download on a lane, plus CPU far-field work: the
-  // event-driven makespan is max(cpu, lane chain), not the sum.
-  TaskGraphSim g;
-  const int up = g.add_lane_task(0, 0.2);
-  const int k = g.add_lane_task(0, 0.5);
-  const int down = g.add_lane_task(0, 0.3);
-  g.add_dependency(up, k);
-  g.add_dependency(k, down);
-  for (int i = 0; i < 8; ++i) g.add_task(0.1);
-  EXPECT_DOUBLE_EQ(g.makespan(2), 1.0);   // lane chain dominates
-  EXPECT_DOUBLE_EQ(g.makespan(1), 1.0);   // CPU side: 0.8 < 1.0, still hidden
-  TaskGraphSim wide;
-  const int u2 = wide.add_lane_task(0, 0.2);
-  const int k2 = wide.add_lane_task(0, 0.5);
-  wide.add_dependency(u2, k2);
-  for (int i = 0; i < 8; ++i) wide.add_task(1.0);
-  EXPECT_DOUBLE_EQ(wide.makespan(4), 2.0);  // CPU dominates: 8 / 4 workers
-}
-
 TEST(TaskSim, ScheduleIsWellFormed) {
-  // Random DAG with lanes: the reported schedule must respect worker
-  // exclusivity and every dependency edge.
+  // Random DAG: the reported schedule must respect worker exclusivity and
+  // every dependency edge.
   std::uint64_t s = 0xabcdef12345ull;
   TaskGraphSim g;
   const int n = 40;
-  for (int i = 0; i < n; ++i) {
-    if (splitmix(s) % 4 == 0)
-      g.add_lane_task(static_cast<int>(splitmix(s) % 2),
-                      1e-3 * static_cast<double>(1 + splitmix(s) % 500));
-    else
-      g.add_task(1e-3 * static_cast<double>(1 + splitmix(s) % 500));
-  }
+  for (int i = 0; i < n; ++i)
+    g.add_task(1e-3 * static_cast<double>(1 + splitmix(s) % 500));
   std::vector<std::pair<int, int>> edges;
   for (int t = 1; t < n; ++t)
     if (splitmix(s) % 2 == 0) {
@@ -333,6 +288,8 @@ TEST(TaskSim, ScheduleIsWellFormed) {
     ASSERT_GE(e.task, 0);
     ASSERT_LT(e.task, n);
     by_task[static_cast<std::size_t>(e.task)] = e;
+    EXPECT_GE(e.worker, 0);
+    EXPECT_LT(e.worker, workers);
     EXPECT_LE(e.finish, m + 1e-12);
     EXPECT_GE(e.finish, e.start);
     EXPECT_GE(e.start, 0.0);
@@ -341,25 +298,17 @@ TEST(TaskSim, ScheduleIsWellFormed) {
   for (const auto& [from, to] : edges)
     EXPECT_GE(by_task[static_cast<std::size_t>(to)].start,
               by_task[static_cast<std::size_t>(from)].finish - 1e-12);
-  // Exclusivity: no two tasks on the same CPU slot (or the same lane)
-  // overlap in time.
-  auto overlap = [](const TaskGraphSim::Scheduled& a,
-                    const TaskGraphSim::Scheduled& b) {
+  // Exclusivity: no two tasks on the same worker slot run at once.
+  auto concurrent = [](const TaskGraphSim::Scheduled& a,
+                       const TaskGraphSim::Scheduled& b) {
     return a.start < b.finish - 1e-12 && b.start < a.finish - 1e-12;
   };
   for (int a = 0; a < n; ++a)
-    for (int b = a + 1; b < n; ++b) {
-      const bool a_pool = g.task_lane(a) == TaskGraphSim::kCpuPool;
-      const bool b_pool = g.task_lane(b) == TaskGraphSim::kCpuPool;
-      if (a_pool != b_pool) continue;
-      const bool same = a_pool
-                            ? by_task[a].worker == by_task[b].worker
-                            : g.task_lane(a) == g.task_lane(b);
-      if (same) {
-        EXPECT_FALSE(overlap(by_task[a], by_task[b]))
+    for (int b = a + 1; b < n; ++b)
+      if (by_task[a].worker == by_task[b].worker) {
+        EXPECT_FALSE(concurrent(by_task[a], by_task[b]))
             << "tasks " << a << " and " << b;
       }
-    }
 }
 
 }  // namespace

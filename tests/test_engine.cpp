@@ -106,57 +106,6 @@ StokesSimulation stokes_sim(const StokesSimulationConfig& cfg,
                           constant_force({0, 0, -1}));
 }
 
-TEST(Engine, OverlapExecutionIsTrajectoryInvariant) {
-  // The overlap executor is a pure re-timing of the step: with the balancer
-  // pinned (degenerate Search bracket + static strategy, so S can never
-  // react to the changed virtual clock), the overlap-on run must reproduce
-  // the overlap-off trajectory bit for bit, while the *.seconds series
-  // visibly changes.
-  auto make = [](OverlapMode mode) {
-    SimulationConfig cfg = golden::golden_config();
-    cfg.balancer.strategy = LbStrategy::kStatic;
-    cfg.balancer.min_S = cfg.balancer.initial_S;
-    cfg.balancer.max_S = cfg.balancer.initial_S;
-    cfg.obs.trace = false;
-    cfg.obs.metrics = false;
-    Rng rng(2026);
-    auto bodies = uniform_cube(400, rng, {0.5, 0.5, 0.5}, 0.5);
-    NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
-    node.set_overlap(mode);
-    return GravitySimulation(cfg, std::move(node), std::move(bodies));
-  };
-  GravitySimulation off = make(OverlapMode::kOff);
-  GravitySimulation on = make(OverlapMode::kOn);
-  bool compute_differed = false;
-  for (int i = 0; i < golden::kGoldenSteps; ++i) {
-    const StepRecord a = off.step();
-    const StepRecord b = on.step();
-    ASSERT_EQ(a.S, b.S) << "step " << i;
-    ASSERT_EQ(a.cpu_fallback, b.cpu_fallback) << "step " << i;
-    // The far-field makespan and GPU kernel time are schedule-independent.
-    EXPECT_EQ(a.cpu_seconds, b.cpu_seconds) << "step " << i;
-    EXPECT_EQ(a.gpu_seconds, b.gpu_seconds) << "step " << i;
-    if (a.compute_seconds != b.compute_seconds) compute_differed = true;
-  }
-  EXPECT_TRUE(compute_differed)
-      << "overlap execution never changed the virtual step time";
-  const auto& pa = off.bodies().positions;
-  const auto& pb = on.bodies().positions;
-  ASSERT_EQ(pa.size(), pb.size());
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    ASSERT_EQ(pa[i].x, pb[i].x) << "body " << i;
-    ASSERT_EQ(pa[i].y, pb[i].y) << "body " << i;
-    ASSERT_EQ(pa[i].z, pb[i].z) << "body " << i;
-  }
-  const auto& va = off.bodies().velocities;
-  const auto& vb = on.bodies().velocities;
-  for (std::size_t i = 0; i < va.size(); ++i) {
-    ASSERT_EQ(va[i].x, vb[i].x) << "body " << i;
-    ASSERT_EQ(va[i].y, vb[i].y) << "body " << i;
-    ASSERT_EQ(va[i].z, vb[i].z) << "body " << i;
-  }
-}
-
 TEST(Engine, StokesAuditFailureRollsBackAndReSearches) {
   auto cfg = stokes_config();
   cfg.resilience.checkpoint_interval = 4;

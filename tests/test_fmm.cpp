@@ -256,11 +256,7 @@ TEST(Fmm, TimesAndStatsPopulated) {
   tree.build(set.positions, unit_config(40));
   FmmConfig cfg;
   cfg.order = 4;
-  // This test pins the SERIALIZED record contract, so the executor must not
-  // follow AFMM_OVERLAP (the DAG makespan is intentionally different).
-  NodeSimulator node = default_node(2);
-  node.set_overlap(OverlapMode::kOff);
-  GravitySolver solver(cfg, std::move(node));
+  GravitySolver solver(cfg, default_node(2));
   const auto res = solver.solve(tree, set.positions, set.masses);
   EXPECT_GT(res.times.cpu_seconds, 0.0);
   EXPECT_GT(res.times.gpu_seconds, 0.0);

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -178,104 +177,6 @@ TEST_F(MachineFixture, ExtensionOpsAreChargedWhenPresent) {
   const auto tb = node.simulate_far_field(ctx, fine, base_lists);
   EXPECT_EQ(tb.t_m2p, 0.0);
   EXPECT_EQ(tb.t_p2l, 0.0);
-}
-
-TEST_F(MachineFixture, OverlapModePinsBeatTheEnvironment) {
-  NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(1));
-  node.set_overlap(OverlapMode::kOff);
-  EXPECT_FALSE(node.overlap_enabled());
-  node.set_overlap(OverlapMode::kOn);
-  EXPECT_TRUE(node.overlap_enabled());
-}
-
-TEST_F(MachineFixture, OverlapStepScheduleIsWellFormed) {
-  ExpansionContext ctx(4);
-  NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
-  ObservedStepTimes t = node.simulate_far_field(ctx, tree_, lists_);
-  const auto gpu =
-      simulate_p2p_timing(tree_, lists_.p2p, 20.0, node.gpus(), &node.health());
-  ASSERT_FALSE(gpu.cpu_fallback);
-  node.charge_near_field(gpu, t);
-  const auto sched = node.overlap_step(ctx, tree_, lists_, gpu, 1, t);
-  ASSERT_TRUE(sched);
-  ASSERT_FALSE(sched->tasks.empty());
-  EXPECT_EQ(sched->gpu_lanes, 2);
-  EXPECT_GT(t.overlap_seconds, 0.0);
-  // The makespan is the later of the two sides, and compute_seconds()
-  // switches to it.
-  EXPECT_DOUBLE_EQ(t.overlap_seconds,
-                   std::max(t.overlap_cpu_seconds, t.overlap_near_seconds));
-  EXPECT_DOUBLE_EQ(t.compute_seconds(), t.overlap_seconds);
-  EXPECT_GT(t.serialized_compute_seconds(), 0.0);
-  // Exclusivity per virtual worker: CPU-pool spans keyed by worker slot,
-  // lane spans keyed by lane id, never two at once.
-  auto is_lane = [](DagTaskKind k) {
-    return k == DagTaskKind::kUpload || k == DagTaskKind::kKernel ||
-           k == DagTaskKind::kDownload;
-  };
-  std::map<std::pair<bool, int>, std::vector<std::pair<double, double>>> by;
-  for (const auto& s : sched->tasks) {
-    EXPECT_GE(s.start, 0.0);
-    EXPECT_GE(s.seconds, 0.0);
-    EXPECT_LE(s.start + s.seconds, t.overlap_seconds + 1e-12);
-    by[{is_lane(s.kind), s.worker}].emplace_back(s.start,
-                                                 s.start + s.seconds);
-  }
-  for (auto& [key, spans] : by) {
-    std::sort(spans.begin(), spans.end());
-    for (std::size_t i = 1; i < spans.size(); ++i)
-      EXPECT_GE(spans[i].first, spans[i - 1].second - 1e-12)
-          << "worker lane=" << key.first << " id=" << key.second;
-  }
-  // Each lane's chain is fully serialized: launch + upload + kernel +
-  // download is a lower bound on the lane finish.
-  const double lane_min = gpu.timeline.launch_seconds +
-                          gpu.timeline.upload_each[0] +
-                          gpu.per_gpu[0].seconds +
-                          gpu.timeline.download_each[0];
-  EXPECT_GE(t.overlap_near_seconds, lane_min - 1e-12);
-}
-
-TEST_F(MachineFixture, OverlapBeatsSerializedSweepsOnCpuDominantStep) {
-  // With a modest GPU near field, the serialized timeline pays
-  // up_makespan + down_makespan (barrier between the sweeps); the merged
-  // DAG lets down-sweep tasks start as soon as their own sources are done,
-  // so the event-driven makespan lands strictly below the barrier sum while
-  // never beating the physics lower bounds.
-  ExpansionContext ctx(4);
-  NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
-  ObservedStepTimes t = node.simulate_far_field(ctx, tree_, lists_);
-  const auto gpu =
-      simulate_p2p_timing(tree_, lists_.p2p, 20.0, node.gpus(), &node.health());
-  ASSERT_FALSE(gpu.cpu_fallback);
-  node.charge_near_field(gpu, t);
-  ASSERT_GT(t.cpu_seconds, t.gpu_seconds);  // CPU-dominant as constructed
-  node.overlap_step(ctx, tree_, lists_, gpu, 1, t);
-  EXPECT_LT(t.overlap_seconds, t.cpu_up_seconds + t.cpu_down_seconds);
-  EXPECT_GE(t.overlap_seconds, t.gpu_seconds);  // kernels still ran
-}
-
-TEST_F(MachineFixture, OverlapStepCoversCpuFallback) {
-  // Every GPU lost: the near field becomes P parallel CPU shares competing
-  // with the far field -- still one DAG, no lanes.
-  ExpansionContext ctx(4);
-  NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
-  node.health().gpus[0].alive = false;
-  node.health().gpus[1].alive = false;
-  ObservedStepTimes t = node.simulate_far_field(ctx, tree_, lists_);
-  const auto gpu =
-      simulate_p2p_timing(tree_, lists_.p2p, 20.0, node.gpus(), &node.health());
-  ASSERT_TRUE(gpu.cpu_fallback);
-  node.charge_near_field(gpu, t);
-  const auto sched = node.overlap_step(ctx, tree_, lists_, gpu, 1, t);
-  EXPECT_EQ(sched->gpu_lanes, 0);
-  EXPECT_GT(t.overlap_seconds, 0.0);
-  // No barrier between near and far shares: at most the serialized sum
-  // plus the honestly-charged per-task spawn overheads, at least the
-  // bigger of the two.
-  EXPECT_LE(t.overlap_seconds, t.serialized_compute_seconds() * 1.01);
-  EXPECT_GE(t.overlap_seconds,
-            std::max(t.cpu_p2p_seconds, t.gpu_seconds) - 1e-12);
 }
 
 TEST_F(MachineFixture, MaintenanceCostsScaleWithInput) {

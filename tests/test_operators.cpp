@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "expansion/operators.hpp"
 #include "util/rng.hpp"
@@ -316,8 +318,16 @@ TEST(Operators, NeutralClusterFieldDecaysFaster) {
 }
 
 TEST(Operators, RejectsBadOrder) {
-  EXPECT_THROW(ExpansionContext(0), std::invalid_argument);
-  EXPECT_THROW(ExpansionContext(17), std::invalid_argument);
+  for (const int order : {0, 17, -5}) {
+    try {
+      ExpansionContext ctx(order);
+      ADD_FAILURE() << "order " << order << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "ExpansionContext: FmmConfig::order must be in [1, 16], got " +
+                    std::to_string(order));
+    }
+  }
 }
 
 TEST(Operators, FlopCountsArePositiveAndGrowWithOrder) {

@@ -107,11 +107,7 @@ TEST(Simulation, StepRecordsArePopulated) {
   for (auto& v : set.velocities) v = {0.01, -0.01, 0.02};
   auto cfg = base_config();
   cfg.softening = 1e-3;
-  // This test pins the SERIALIZED record contract, so the executor must not
-  // follow AFMM_OVERLAP (the DAG makespan is intentionally different).
-  NodeSimulator node = default_node();
-  node.set_overlap(OverlapMode::kOff);
-  GravitySimulation sim(cfg, std::move(node), set);
+  GravitySimulation sim(cfg, default_node(), set);
   const auto recs = sim.run(5);
   ASSERT_EQ(recs.size(), 5u);
   for (int i = 0; i < 5; ++i) {

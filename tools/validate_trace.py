@@ -33,12 +33,6 @@ instruments, and if the run escalated to a rollback the FIRST repair must
 precede the FIRST rollback -- the ladder tries surgery before amputation.
 Escalation replays steps, so --sdc also tolerates metric step rewinds.
 
-With --overlap the run must have executed the data-driven task DAG: the
-trace must carry cat="dag" spans, every one of them on a "dag cpu<k>" or
-"dag gpu<k>" worker track, spans on the same worker track must not overlap
-(each virtual worker runs one task at a time), and the metrics CSV (when
-given) must sample the step.overlap_* gauges.
-
 With --service the trace must come from the multi-tenant SimulationService
 (bench/service_throughput): a "service" track with cat="service" lifecycle
 instants including at least one admit, evict AND restore, plus tenant-
@@ -91,15 +85,6 @@ SDC_METRICS = (
     "sdc.repairs_total",
     "sdc.rollbacks_total",
 )
-# Gauges the step emitter adds only when the overlap executor ran
-# (obs/step_emitter.cpp); every one must appear in an --overlap run's
-# metric set.
-OVERLAP_METRICS = (
-    "step.overlap_seconds",
-    "step.serialized_compute_seconds",
-    "step.overlap_cpu_seconds",
-    "step.overlap_near_seconds",
-)
 # Counters the service registers up front (service/service.cpp); every one
 # must appear in a --service run's aggregate stream and never decrease.
 SERVICE_COUNTERS = (
@@ -133,8 +118,7 @@ def fail(msg: str) -> None:
 
 
 def check_metrics(path: str, min_steps: int, cluster_nodes: int,
-                  sdc: bool = False, overlap: bool = False,
-                  service: bool = False) -> None:
+                  sdc: bool = False, service: bool = False) -> None:
     """Validate a MetricsRegistry CSV export (obs/metrics.hpp).
 
     With cluster_nodes > 0 or sdc a step REWIND between groups is legal
@@ -234,12 +218,6 @@ def check_metrics(path: str, min_steps: int, cluster_nodes: int,
         if missing:
             fail(f"{path}: sdc run missing metrics: {', '.join(missing)}")
 
-    if overlap:
-        missing = [m for m in OVERLAP_METRICS if m not in reference]
-        if missing:
-            fail(f"{path}: overlap run missing metrics: "
-                 f"{', '.join(missing)}")
-
     if service:
         aggregate = reference_by_stream.get("service", set())
         missing = [m for m in SERVICE_COUNTERS if m not in aggregate]
@@ -299,14 +277,6 @@ def main() -> None:
         "tolerate recovery step rewinds in the metrics CSV",
     )
     ap.add_argument(
-        "--overlap",
-        action="store_true",
-        help="validate an overlap-execution run: require cat='dag' spans, "
-        "all on 'dag cpu<k>' / 'dag gpu<k>' worker tracks, with no two "
-        "spans overlapping on the same worker, and require the "
-        "step.overlap_* metrics",
-    )
-    ap.add_argument(
         "--service",
         action="store_true",
         help="validate a multi-tenant service run: require cat='service' "
@@ -339,13 +309,11 @@ def main() -> None:
     named_tracks = set()   # (pid, tid) with a thread_name metadata event
     named_pids = set()     # pid with a process_name metadata event
     track_names = set()    # thread_name metadata args.name values
-    track_name_of = {}     # (pid, tid) -> thread_name
     used_tracks = set()
     categories = {}
     sdc_first_ts = {}      # sdc instant name -> earliest ts
     service_instants = {}  # cat='service' instant name -> count
     first_rollback_ts = None
-    dag_spans = []         # ((pid, tid), ts, dur) of every cat='dag' "X"
     for i, e in enumerate(events):
         where = f"event {i} ({e.get('name', '?')!r})"
         ph = e.get("ph")
@@ -364,7 +332,6 @@ def main() -> None:
                 name = e.get("args", {}).get("name")
                 if isinstance(name, str):
                     track_names.add(name)
-                    track_name_of[(e["pid"], e["tid"])] = name
             continue
         ts = e.get("ts")
         if not isinstance(ts, (int, float)) or not math.isfinite(ts) or ts < 0:
@@ -374,8 +341,6 @@ def main() -> None:
             if (not isinstance(dur, (int, float)) or not math.isfinite(dur)
                     or dur < 0):
                 fail(f"{where}: bad dur {dur!r}")
-            if e.get("cat") == "dag":
-                dag_spans.append(((e["pid"], e["tid"]), ts, dur))
         if ph == "C" and "value" not in e.get("args", {}):
             fail(f"{where}: counter without args.value")
         used_tracks.add((e["pid"], e["tid"]))
@@ -411,28 +376,6 @@ def main() -> None:
         if absent:
             fail(f"cluster run missing tracks: {', '.join(absent)} "
                  f"(present: {', '.join(sorted(track_names))})")
-
-    if args.overlap:
-        if not dag_spans:
-            fail("overlap run has no cat='dag' spans "
-                 f"(present: {', '.join(sorted(categories))})")
-        by_worker = {}
-        for track, ts, dur in dag_spans:
-            name = track_name_of.get(track, "")
-            if not (name.startswith("dag cpu") or name.startswith("dag gpu")):
-                fail(f"cat='dag' span on track {name!r} (pid={track[0]} "
-                     f"tid={track[1]}): want 'dag cpu<k>' or 'dag gpu<k>'")
-            by_worker.setdefault(name, []).append((ts, dur))
-        # Each virtual worker executes one task at a time; allow a sliver of
-        # float rounding from the seconds -> microseconds conversion.
-        for name, spans in sorted(by_worker.items()):
-            spans.sort()
-            for (a_ts, a_dur), (b_ts, _) in zip(spans, spans[1:]):
-                if b_ts < a_ts + a_dur - 1e-3:
-                    fail(f"track {name!r}: span at ts={b_ts} starts before "
-                         f"the span at ts={a_ts} (dur={a_dur}) finished")
-        print(f"validate_trace: OK: {len(dag_spans)} dag spans on "
-              f"{len(by_worker)} worker tracks")
 
     if args.service:
         if "service" not in track_names:
@@ -472,8 +415,7 @@ def main() -> None:
 
     if args.metrics is not None:
         check_metrics(args.metrics, args.min_metric_steps,
-                      args.cluster_nodes, args.sdc, args.overlap,
-                      args.service)
+                      args.cluster_nodes, args.sdc, args.service)
 
 
 if __name__ == "__main__":
