@@ -14,6 +14,7 @@
 // 2 when an option is invalid (the error and the usage go to stderr).
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 
@@ -40,6 +41,26 @@ long flag_long(int argc, char** argv, const char* key, long fallback) {
   return v ? example::parse_long(v, key) : fallback;
 }
 
+// The value of `key` (or `fallback` when absent); a value outside `allowed`
+// is an error naming the flag and its values.
+std::string flag_choice(int argc, char** argv, const char* key,
+                        const char* fallback,
+                        std::initializer_list<const char*> allowed) {
+  const std::string v = flag(argc, argv, key, fallback);
+  std::string values;
+  for (const char* a : allowed) {
+    if (v == a) return v;
+    values += values.empty() ? a : std::string("|") + a;
+  }
+  throw std::invalid_argument(std::string(key) + " must be one of " + values +
+                              ", got '" + v + "'");
+}
+
+std::string flag_dist(int argc, char** argv) {
+  return flag_choice(argc, argv, "--dist", "plummer",
+                     {"plummer", "uniform", "collision"});
+}
+
 ParticleSet make_distribution(const std::string& dist, long n, Rng& rng) {
   if (n < 1) throw std::invalid_argument("--n must be >= 1");
   if (dist == "uniform") return uniform_cube(n, rng, {0, 0, 0}, 1.0);
@@ -64,7 +85,9 @@ NodeSimulator make_node(int argc, char** argv) {
 int cmd_solve(int argc, char** argv) {
   Rng rng(1);
   const long n = flag_long(argc, argv, "--n", 50000);
-  auto set = make_distribution(flag(argc, argv, "--dist", "plummer"), n, rng);
+  const std::string kernel =
+      flag_choice(argc, argv, "--kernel", "gravity", {"gravity", "stokeslet"});
+  auto set = make_distribution(flag_dist(argc, argv), n, rng);
 
   TreeConfig tc = fit_cube(set.positions);
   tc.leaf_capacity = static_cast<int>(flag_long(argc, argv, "--s", 64));
@@ -76,7 +99,6 @@ int cmd_solve(int argc, char** argv) {
   cfg.collect_real_timings = true;
   auto node = make_node(argc, argv);
 
-  const std::string kernel = flag(argc, argv, "--kernel", "gravity");
   ObservedStepTimes times;
   SolveStats stats;
   std::shared_ptr<OpTimers> timers;
@@ -120,7 +142,9 @@ int cmd_simulate(int argc, char** argv) {
   const long n = flag_long(argc, argv, "--n", 20000);
   const long steps = flag_long(argc, argv, "--steps", 50);
   if (steps < 1) throw std::invalid_argument("--steps must be >= 1");
-  auto set = make_distribution(flag(argc, argv, "--dist", "plummer"), n, rng);
+  const std::string strat = flag_choice(argc, argv, "--strategy", "full",
+                                        {"static", "enforce", "full"});
+  auto set = make_distribution(flag_dist(argc, argv), n, rng);
 
   SimulationConfig cfg;
   cfg.fmm.order = static_cast<int>(flag_long(argc, argv, "--order", 4));
@@ -128,7 +152,6 @@ int cmd_simulate(int argc, char** argv) {
   cfg.tree.root_half *= 3.0;  // room to evolve
   cfg.dt = 0.01;
   cfg.softening = 0.01;
-  const std::string strat = flag(argc, argv, "--strategy", "full");
   cfg.balancer.strategy = strat == "static" ? LbStrategy::kStatic
                           : strat == "enforce" ? LbStrategy::kEnforceOnly
                                                : LbStrategy::kFull;
@@ -150,7 +173,7 @@ int cmd_simulate(int argc, char** argv) {
 int cmd_tree(int argc, char** argv) {
   Rng rng(1);
   const long n = flag_long(argc, argv, "--n", 100000);
-  auto set = make_distribution(flag(argc, argv, "--dist", "plummer"), n, rng);
+  auto set = make_distribution(flag_dist(argc, argv), n, rng);
   TreeConfig tc = fit_cube(set.positions);
   Table t({"S", "nodes", "leaves", "depth", "max_leaf", "m2l_pairs",
            "p2p_interactions"});

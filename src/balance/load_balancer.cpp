@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "obs/trace.hpp"
 
@@ -25,9 +27,34 @@ const char* to_string(LbStrategy s) {
   return "?";
 }
 
+namespace {
+
+// Rejects a config the Search step cannot run: its S bracket and the clamp
+// into [min_S, max_S] need 1 <= min_S <= initial_S <= max_S, and the cost
+// model's EWMA weight must lie in (0, 1].
+const LoadBalancerConfig& validated(const LoadBalancerConfig& c) {
+  auto reject = [](const std::string& what) {
+    throw std::invalid_argument("LoadBalancerConfig: " + what);
+  };
+  if (c.min_S < 1)
+    reject("min_S must be >= 1, got " + std::to_string(c.min_S));
+  if (c.max_S < c.min_S)
+    reject("max_S must be >= min_S (" + std::to_string(c.min_S) + "), got " +
+           std::to_string(c.max_S));
+  if (c.initial_S < c.min_S || c.initial_S > c.max_S)
+    reject("initial_S must be in [min_S, max_S] = [" +
+           std::to_string(c.min_S) + ", " + std::to_string(c.max_S) +
+           "], got " + std::to_string(c.initial_S));
+  if (!(c.smoothing > 0.0 && c.smoothing <= 1.0))
+    reject("smoothing must be in (0, 1], got " + std::to_string(c.smoothing));
+  return c;
+}
+
+}  // namespace
+
 LoadBalancer::LoadBalancer(const LoadBalancerConfig& config,
                            TraversalConfig traversal)
-    : config_(config),
+    : config_(validated(config)),
       traversal_(traversal),
       model_(config.smoothing),
       s_(config.initial_S),

@@ -214,11 +214,8 @@ class SimulationEngine {
   int steps_taken() const { return step_count_; }
 
   // The interaction-list cache shared by the solver and the balancer: one
-  // traversal per structure change, zero when the structure is stable. The
-  // mutable overload exists for read-only consumers that must go through
-  // get() (it memoizes) -- e.g. the cluster layer's halo planner.
+  // traversal per structure change, zero when the structure is stable.
   const InteractionListCache& list_cache() const { return list_cache_; }
-  InteractionListCache& list_cache() { return list_cache_; }
 
   // Observability sinks (null when the corresponding ObsConfig flag is off).
   TraceRecorder* trace() { return trace_.get(); }

@@ -27,20 +27,16 @@ const char* to_string(FaultKind k) {
     case FaultKind::kCpuPreemption: return "cpu-preemption";
     case FaultKind::kCpuRestore: return "cpu-restore";
     case FaultKind::kTransferFaults: return "transfer-faults";
-    case FaultKind::kNodeCrash: return "node-crash";
-    case FaultKind::kNodeRejoin: return "node-rejoin";
-    case FaultKind::kNodeLinkFaults: return "node-link-faults";
     case FaultKind::kBitFlip: return "sdc-bit-flip";
     case FaultKind::kSdcGpuBatch: return "sdc-gpu-batch";
     case FaultKind::kSdcExpansion: return "sdc-expansion";
-    case FaultKind::kSdcHaloPayload: return "sdc-halo-payload";
   }
   return "?";
 }
 
 bool is_sdc(FaultKind k) {
   return k == FaultKind::kBitFlip || k == FaultKind::kSdcGpuBatch ||
-         k == FaultKind::kSdcExpansion || k == FaultKind::kSdcHaloPayload;
+         k == FaultKind::kSdcExpansion;
 }
 
 std::string describe(const FaultEvent& e) {
@@ -66,18 +62,9 @@ std::string describe(const FaultEvent& e) {
       std::snprintf(buf, sizeof(buf), "%s p=%g for %d steps",
                     to_string(e.kind), e.fail_prob, e.duration);
       break;
-    case FaultKind::kNodeCrash:
-    case FaultKind::kNodeRejoin:
-      std::snprintf(buf, sizeof(buf), "%s node=%d", to_string(e.kind), e.node);
-      break;
-    case FaultKind::kNodeLinkFaults:
-      std::snprintf(buf, sizeof(buf), "%s node=%d p=%g for %d steps",
-                    to_string(e.kind), e.node, e.fail_prob, e.duration);
-      break;
     case FaultKind::kBitFlip:
     case FaultKind::kSdcGpuBatch:
     case FaultKind::kSdcExpansion:
-    case FaultKind::kSdcHaloPayload:
       std::snprintf(buf, sizeof(buf), "%s step=%d", to_string(e.kind), e.step);
       break;
     default:
@@ -120,23 +107,6 @@ FaultSchedule& FaultSchedule::transfer_faults(int step, double fail_prob,
   return *this;
 }
 
-FaultSchedule& FaultSchedule::node_crash(int step, int node) {
-  events.push_back({step, FaultKind::kNodeCrash, 0, 1.0, 0, 0.0, 0, node});
-  return *this;
-}
-
-FaultSchedule& FaultSchedule::node_rejoin(int step, int node) {
-  events.push_back({step, FaultKind::kNodeRejoin, 0, 1.0, 0, 0.0, 0, node});
-  return *this;
-}
-
-FaultSchedule& FaultSchedule::node_link_faults(int step, int node,
-                                               double fail_prob, int duration) {
-  events.push_back(
-      {step, FaultKind::kNodeLinkFaults, 0, 1.0, 0, fail_prob, duration, node});
-  return *this;
-}
-
 FaultSchedule& FaultSchedule::bit_flip(int step) {
   events.push_back({step, FaultKind::kBitFlip, 0, 1.0, 0, 0.0, 0});
   return *this;
@@ -149,11 +119,6 @@ FaultSchedule& FaultSchedule::sdc_gpu_batch(int step) {
 
 FaultSchedule& FaultSchedule::sdc_expansion(int step) {
   events.push_back({step, FaultKind::kSdcExpansion, 0, 1.0, 0, 0.0, 0});
-  return *this;
-}
-
-FaultSchedule& FaultSchedule::sdc_halo_payload(int step) {
-  events.push_back({step, FaultKind::kSdcHaloPayload, 0, 1.0, 0, 0.0, 0});
   return *this;
 }
 
@@ -217,13 +182,6 @@ void FaultInjector::apply(const FaultEvent& e, MachineHealth& health) {
       transfer_window_end_ = e.duration > 0 ? e.step + e.duration : -1;
       if (health.transfer_fault_prob == 0.0) transfer_window_end_ = -1;
       break;
-    case FaultKind::kNodeCrash:
-    case FaultKind::kNodeRejoin:
-    case FaultKind::kNodeLinkFaults:
-      // Node-scoped: no single-machine field to touch. The cluster layer
-      // interprets the fired event against its per-node views; the epoch
-      // bump below still marks "something changed" for observers.
-      break;
     case FaultKind::kBitFlip:
       health.sdc.bit_flip = true;
       health.sdc.bit_flip_seed = event_seed(e);
@@ -235,10 +193,6 @@ void FaultInjector::apply(const FaultEvent& e, MachineHealth& health) {
     case FaultKind::kSdcExpansion:
       health.sdc.expansion = true;
       health.sdc.expansion_seed = event_seed(e);
-      return;
-    case FaultKind::kSdcHaloPayload:
-      health.sdc.halo_payload = true;
-      health.sdc.halo_seed = event_seed(e);
       return;
   }
   ++health.fault_epoch;

@@ -12,19 +12,6 @@
 //                       with `fail_prob` for `duration` steps (0 = until a
 //                       later window event overrides it)
 //
-// Node-scoped events (cluster/ layer; `node` selects the cluster node):
-//
-//   kNodeCrash       -- the whole node goes silent: heartbeats stop, halo
-//                       messages to it time out
-//   kNodeRejoin      -- a crashed node comes back healthy
-//   kNodeLinkFaults  -- transient interconnect window on one node's links:
-//                       halo messages touching it fail with `fail_prob` for
-//                       `duration` steps
-//
-// Node-scoped events do not touch the single-machine fields of a
-// MachineHealth (apply() only bumps the epoch for them); the cluster layer
-// interprets the fired events against its per-node health views.
-//
 // Silent-data-corruption events (sdc/ subsystem) -- these arm a transient
 // SdcPending on MachineHealth and, unlike every kind above, do NOT bump the
 // fault epoch (corrupting data is not a capability change; an epoch bump
@@ -36,8 +23,6 @@
 //                       the device" but before it is applied
 //   kSdcExpansion    -- flip one multipole coefficient between the upward
 //                       and downward passes
-//   kSdcHaloPayload  -- corrupt one halo message that passes the link layer
-//                       (cluster/ interprets it)
 //
 // Each fired SDC event derives a per-event seed from (injector seed, step,
 // kind), so the victim index and flipped bit replay bit-identically. A fired
@@ -68,17 +53,15 @@ enum class FaultKind {
   kCpuPreemption,
   kCpuRestore,
   kTransferFaults,
-  kNodeCrash,
-  kNodeRejoin,
-  kNodeLinkFaults,
-  kBitFlip,
-  kSdcGpuBatch,
-  kSdcExpansion,
-  kSdcHaloPayload,
+  // event_seed() folds the kind's value into the SDC victim seed; these
+  // values are fixed so a given (schedule, seed) keeps its victims.
+  kBitFlip = 9,
+  kSdcGpuBatch = 10,
+  kSdcExpansion = 11,
 };
 
 const char* to_string(FaultKind k);
-// True for the silent-corruption kinds (kBitFlip..kSdcHaloPayload).
+// True for the silent-corruption kinds (kBitFlip..kSdcExpansion).
 bool is_sdc(FaultKind k);
 
 struct FaultEvent;
@@ -92,9 +75,8 @@ struct FaultEvent {
   int device = 0;           // GPU index (loss / recovery / throttle)
   double clock_scale = 1.0; // throttle target in (0, 1]
   int cores = 0;            // cores taken by kCpuPreemption
-  double fail_prob = 0.0;   // kTransferFaults / kNodeLinkFaults probability
+  double fail_prob = 0.0;   // kTransferFaults probability
   int duration = 0;         // fault-window length in steps
-  int node = 0;             // cluster node index (kNode* events)
 };
 
 struct FaultSchedule {
@@ -107,14 +89,9 @@ struct FaultSchedule {
   FaultSchedule& cpu_preemption(int step, int cores);
   FaultSchedule& cpu_restore(int step);
   FaultSchedule& transfer_faults(int step, double fail_prob, int duration);
-  FaultSchedule& node_crash(int step, int node);
-  FaultSchedule& node_rejoin(int step, int node);
-  FaultSchedule& node_link_faults(int step, int node, double fail_prob,
-                                  int duration);
   FaultSchedule& bit_flip(int step);
   FaultSchedule& sdc_gpu_batch(int step);
   FaultSchedule& sdc_expansion(int step);
-  FaultSchedule& sdc_halo_payload(int step);
 
   bool empty() const { return events.empty(); }
 };
@@ -153,12 +130,6 @@ class FaultInjector {
   // with the same schedule; throws std::invalid_argument on a schedule-size
   // mismatch (the snapshot then belongs to a different run configuration).
   void restore(const FaultInjectorSnapshot& snap);
-
-  // Acknowledge a deliberate step rewind WITHOUT moving the cursor: the
-  // cluster layer replays lost steps after a crash recovery while its own
-  // injector keeps every already-fired event applied. Re-arms the
-  // nondecreasing-step guard the way restore() does.
-  void acknowledge_rewind() { last_step_ = INT_MIN; }
 
  private:
   void apply(const FaultEvent& e, MachineHealth& health);

@@ -80,13 +80,11 @@ struct SdcPending {
   bool bit_flip = false;       // kBitFlip: flip a bit of the derived state
   bool gpu_batch = false;      // kSdcGpuBatch: corrupt one P2P batch result
   bool expansion = false;      // kSdcExpansion: flip a multipole coefficient
-  bool halo_payload = false;   // kSdcHaloPayload: corrupt a halo message
   std::uint64_t bit_flip_seed = 0;
   std::uint64_t gpu_batch_seed = 0;
   std::uint64_t expansion_seed = 0;
-  std::uint64_t halo_seed = 0;
 
-  bool any() const { return bit_flip || gpu_batch || expansion || halo_payload; }
+  bool any() const { return bit_flip || gpu_batch || expansion; }
   void clear() { *this = SdcPending{}; }
 };
 

@@ -11,14 +11,18 @@
 #include <set>
 #include <stdexcept>
 
-#include "state/checkpoint_detail.hpp"
 #include "state/serial.hpp"
 
 namespace afmm {
 
-// ---- field-level encoders/decoders (shared with state/shard_store.cpp) ----
+namespace {
 
-namespace ckpt {
+namespace fs = std::filesystem;
+
+// ---- field-level encoders/decoders ----------------------------------------
+//
+// Every get_* reads through ByteReader, which is bounds-checked: a short
+// payload latches the reader's fail flag instead of reading garbage.
 
 void put_vec3(ByteWriter& w, const Vec3& v) {
   w.f64(v.x);
@@ -72,19 +76,6 @@ bool get_u64s(ByteReader& r, std::vector<std::uint64_t>& out) {
   if (n * 8 > r.remaining()) return false;
   out.resize(n);
   for (auto& x : out) x = r.u64();
-  return r.ok();
-}
-
-void put_u32s(ByteWriter& w, const std::vector<std::uint32_t>& v) {
-  w.u64(v.size());
-  for (auto x : v) w.u32(x);
-}
-
-bool get_u32s(ByteReader& r, std::vector<std::uint32_t>& out) {
-  const std::uint64_t n = r.u64();
-  if (n * 4 > r.remaining()) return false;
-  out.resize(n);
-  for (auto& x : out) x = r.u32();
   return r.ok();
 }
 
@@ -207,7 +198,7 @@ bool get_tree(ByteReader& r, OctreeSnapshot& t) {
   t.sorted_pos.resize(num_pos);
   {
     // An empty vector's data() may be null, and memcpy(nullptr, ..., 0) is
-    // undefined; the shard store's body-free skeleton tree hits this.
+    // undefined.
     const auto raw = r.bytes(num_pos * sizeof(Vec3));
     if (!raw.empty()) std::memcpy(t.sorted_pos.data(), raw.data(), raw.size());
   }
@@ -310,14 +301,6 @@ std::uint32_t section_crc(std::uint32_t id,
   hdr.u64(payload.size());
   return crc32_extend(crc32(hdr.buffer()), payload);
 }
-
-}  // namespace ckpt
-
-using namespace ckpt;
-
-namespace {
-
-namespace fs = std::filesystem;
 
 enum class SectionId : std::uint32_t {
   kMeta = 1,
@@ -559,31 +542,24 @@ bool valid_store_owner(const std::string& owner) {
   return true;
 }
 
-bool match_owned_snapshot(const std::string& name, const std::string& owner,
-                          const std::string& stem,
-                          std::initializer_list<int> digit_groups,
-                          const std::string& suffix) {
-  const std::string prefix = owner.empty() ? stem : owner + "_" + stem;
-  if (name.rfind(prefix, 0) != 0) return false;
-  std::size_t pos = prefix.size();
-  bool first = true;
-  for (int width : digit_groups) {
-    if (!first) {
-      if (pos >= name.size() || name[pos] != '_') return false;
-      ++pos;
-    }
-    first = false;
-    if (name.size() < pos + static_cast<std::size_t>(width)) return false;
-    for (int i = 0; i < width; ++i) {
-      const char c = name[pos + static_cast<std::size_t>(i)];
-      if (c < '0' || c > '9') return false;
-    }
-    pos += static_cast<std::size_t>(width);
-  }
-  return name.compare(pos, std::string::npos, suffix) == 0;
-}
-
 namespace {
+
+// True iff `name` is EXACTLY `[<owner>_]ckpt_<10 digits>.afmm`. Unlike a
+// prefix test this rejects look-alikes such as owner "ckpt"'s
+// `ckpt_ckpt_0000000042.afmm` in the bare store, or padded/garbled step
+// fields, so a store can never adopt -- or rotate away -- a file it did not
+// write.
+bool is_owned_snapshot(const std::string& name, const std::string& owner) {
+  const std::string prefix = owner.empty() ? "ckpt_" : owner + "_ckpt_";
+  const std::string suffix = ".afmm";
+  constexpr std::size_t kDigits = 10;
+  if (name.size() != prefix.size() + kDigits + suffix.size() ||
+      name.compare(0, prefix.size(), prefix) != 0)
+    return false;
+  for (std::size_t i = prefix.size(); i < prefix.size() + kDigits; ++i)
+    if (name[i] < '0' || name[i] > '9') return false;
+  return name.compare(prefix.size() + kDigits, suffix.size(), suffix) == 0;
+}
 
 void require_valid_owner(const std::string& owner) {
   if (!valid_store_owner(owner))
@@ -651,7 +627,7 @@ std::vector<std::string> CheckpointStore::files() const {
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
     const std::string name = entry.path().filename().string();
-    if (match_owned_snapshot(name, owner_, "ckpt_", {10}, ".afmm"))
+    if (is_owned_snapshot(name, owner_))
       out.push_back(entry.path().string());
   }
   // Step numbers are zero-padded, so lexicographic descending = newest first.

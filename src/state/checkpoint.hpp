@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <optional>
 #include <span>
 #include <string>
@@ -109,17 +108,6 @@ std::optional<SimCheckpoint> load_checkpoint_file(const std::string& path,
 // different owner's (or the bare) pattern; an invalid owner throws
 // std::invalid_argument at construction.
 bool valid_store_owner(const std::string& owner);
-
-// Strict snapshot-filename matcher shared by CheckpointStore and ShardStore:
-// true iff `name` is EXACTLY `[<owner>_]<stem>` followed by '_'-separated
-// fixed-width digit groups and then `suffix`. Unlike a prefix test this
-// rejects look-alikes such as `ckpt_ckpt_0000000042.afmm` (an owner named
-// "ckpt" under the old loose rules) or padded/garbled step fields, so a
-// store can never adopt -- or rotate away -- a file it did not write.
-bool match_owned_snapshot(const std::string& name, const std::string& owner,
-                          const std::string& stem,
-                          std::initializer_list<int> digit_groups,
-                          const std::string& suffix);
 
 // Rotating on-disk snapshot store: `dir/[<owner>_]ckpt_<step>.afmm`, newest
 // `keep` files retained. load_latest() walks newest-first and silently skips

@@ -2,6 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "balance/load_balancer.hpp"
 #include "core/fmm_solver.hpp"
@@ -467,6 +472,51 @@ TEST(LoadBalancer, ToStringCoversEnums) {
   EXPECT_STREQ(to_string(LbStrategy::kStatic), "static");
   EXPECT_STREQ(to_string(LbStrategy::kEnforceOnly), "enforce-only");
   EXPECT_STREQ(to_string(LbStrategy::kFull), "full");
+}
+
+TEST(LoadBalancer, RejectsInvalidConfig) {
+  struct Case {
+    const char* field;  // must appear in the error
+    std::function<void(LoadBalancerConfig&)> set;
+  };
+  const std::vector<Case> bad = {
+      {"min_S", [](LoadBalancerConfig& c) { c.min_S = 0; }},
+      {"min_S", [](LoadBalancerConfig& c) { c.min_S = -4; }},
+      {"max_S", [](LoadBalancerConfig& c) { c.max_S = c.min_S - 1; }},
+      {"max_S", [](LoadBalancerConfig& c) {
+         c.min_S = 128;
+         c.max_S = 64;
+         c.initial_S = 64;
+       }},
+      {"initial_S", [](LoadBalancerConfig& c) { c.initial_S = c.min_S - 1; }},
+      {"initial_S", [](LoadBalancerConfig& c) { c.initial_S = c.max_S + 1; }},
+      {"smoothing", [](LoadBalancerConfig& c) { c.smoothing = 0.0; }},
+      {"smoothing", [](LoadBalancerConfig& c) { c.smoothing = -0.5; }},
+      {"smoothing", [](LoadBalancerConfig& c) { c.smoothing = 1.5; }},
+      {"smoothing", [](LoadBalancerConfig& c) {
+         c.smoothing = std::numeric_limits<double>::quiet_NaN();
+       }},
+  };
+  for (const Case& k : bad) {
+    LoadBalancerConfig cfg;
+    k.set(cfg);
+    try {
+      LoadBalancer lb(cfg, TraversalConfig{});
+      ADD_FAILURE() << "accepted a bad " << k.field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(k.field), std::string::npos)
+          << "error does not name " << k.field << ": " << e.what();
+    }
+  }
+
+  // The edges of every range are legal.
+  LoadBalancerConfig edge;
+  edge.min_S = 1;
+  edge.max_S = 1;
+  edge.initial_S = 1;
+  edge.smoothing = 1.0;
+  EXPECT_NO_THROW(LoadBalancer(edge, TraversalConfig{}));
+  EXPECT_NO_THROW(LoadBalancer(LoadBalancerConfig{}, TraversalConfig{}));
 }
 
 }  // namespace

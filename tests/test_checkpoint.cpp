@@ -11,7 +11,6 @@
 #include "core/stokes_simulation.hpp"
 #include "dist/distributions.hpp"
 #include "state/serial.hpp"
-#include "state/shard_store.hpp"
 #include "util/rng.hpp"
 
 namespace afmm {
@@ -415,7 +414,7 @@ TEST(CheckpointStore, StrictMatchingRejectsLookAlikeNames) {
 TEST(CheckpointStore, InvalidOwnerRejected) {
   const std::string dir = fresh_dir("ckpt_bad_owner");
   EXPECT_THROW(CheckpointStore(dir, 2, "bad_owner"), std::invalid_argument);
-  EXPECT_THROW(ShardStore(dir, 2, "has space"), std::invalid_argument);
+  EXPECT_THROW(CheckpointStore(dir, 2, "has space"), std::invalid_argument);
   EXPECT_NO_THROW(CheckpointStore(dir, 2, "A-9.x"));
 }
 
@@ -457,60 +456,6 @@ TEST(CheckpointStore, EngineAutoClaimAvoidsSharedDirCollision) {
   EXPECT_NE(sim1.store()->owner(), sim2.store()->owner());
   EXPECT_EQ(sim1.store()->load_latest()->step, 2);
   EXPECT_EQ(sim2.store()->load_latest()->step, 3);
-}
-
-TEST(ShardStore, OwnerPrefixesAndIsolation) {
-  const std::string dir = fresh_dir("shard_owner");
-  GravitySimulation sim(base_config(), default_node(), test_bodies(300));
-  sim.step();
-  ShardedCheckpoint ckpt;
-  ckpt.global = sim.checkpoint();
-  ckpt.cluster_blob = {1, 2, 3};
-  ckpt.ranges = {{0, 150}, {150, 300}};
-
-  ShardStore owned(dir, 2, "n0");
-  EXPECT_EQ(owned.owner(), "n0");
-  std::string error;
-  ASSERT_TRUE(owned.save(ckpt, &error)) << error;
-  ASSERT_EQ(owned.manifests().size(), 1u);
-  EXPECT_EQ(fs::path(owned.manifests()[0]).filename().string().rfind(
-                "n0_manifest_", 0),
-            0u);
-
-  ShardStore legacy(dir, 2);
-  EXPECT_TRUE(legacy.manifests().empty());
-  const auto back = owned.load_latest(&error);
-  ASSERT_TRUE(back.has_value()) << error;
-  EXPECT_EQ(back->global.step, 1);
-  EXPECT_EQ(back->cluster_blob, ckpt.cluster_blob);
-}
-
-TEST(ShardStore, OlderVersionRejectedByNumber) {
-  const std::string dir = fresh_dir("shard_version");
-  GravitySimulation sim(base_config(), default_node(), test_bodies(300));
-  ShardedCheckpoint ckpt;
-  ckpt.global = sim.checkpoint();
-  ckpt.ranges = {{0, 300}};
-  ShardStore store(dir, 1);
-  std::string error;
-  ASSERT_TRUE(store.save(ckpt, &error)) << error;
-  ASSERT_EQ(store.manifests().size(), 1u);
-  const std::string manifest = store.manifests()[0];
-  std::vector<char> bytes;
-  {
-    std::ifstream in(manifest, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  ASSERT_GT(bytes.size(), 8u);
-  bytes[4] = static_cast<char>(kShardVersion - 1);  // version after magic
-  {
-    std::ofstream out(manifest, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  EXPECT_FALSE(store.load_latest(&error).has_value());
-  EXPECT_NE(error.find("format version " + std::to_string(kShardVersion - 1)),
-            std::string::npos)
-      << error;
 }
 
 TEST(Checkpoint, SimulationStoreWritesOnCadence) {

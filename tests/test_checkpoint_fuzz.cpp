@@ -1,8 +1,7 @@
-// Corruption fuzzing for the checkpoint container (state/checkpoint) and the
-// coordinated shard store (state/shard_store): a damaged snapshot must NEVER
-// decode successfully and must never crash the decoder -- and a store must
-// roll back to the newest intact snapshot (or report failure), not serve
-// garbage.
+// Corruption fuzzing for the checkpoint container (state/checkpoint): a
+// damaged snapshot must NEVER decode successfully and must never crash the
+// decoder -- and a store must roll back to the newest intact snapshot (or
+// report failure), not serve garbage.
 //
 // The v3 seal makes every single-byte flip detectable: magic and version are
 // checked outright, each section's CRC covers id + size + payload, and
@@ -17,10 +16,8 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.hpp"
 #include "core/simulation.hpp"
 #include "dist/distributions.hpp"
-#include "state/shard_store.hpp"
 #include "util/rng.hpp"
 
 namespace afmm {
@@ -196,122 +193,6 @@ TEST(CheckpointFuzz, StoreFallsBackToPreviousGoodSnapshot) {
   bytes2.resize(bytes2.size() / 3);
   write_file(files[1], bytes2);
   EXPECT_FALSE(store.load_latest(&error).has_value());
-}
-
-// ---- coordinated shard sets ------------------------------------------------
-
-struct ShardFixture {
-  std::string dir;
-  int older_step = 0;
-  int newer_step = 0;
-  std::string newest_manifest;
-  std::string newest_shard0;
-};
-
-ShardFixture make_shard_sets(const std::string& name) {
-  ShardFixture fx;
-  fx.dir = fresh_dir(name);
-  EngineConfig cfg = base_config();
-  ClusterConfig cc;
-  cc.num_nodes = 2;
-  GravityProblem problem(cfg.fmm, 1.0, 1e-3, default_node(), test_bodies());
-  ClusterEngine<GravityProblem> cluster(cfg, cc, std::move(problem));
-
-  ShardStore store(fx.dir, /*keep=*/3);
-  const ShardedCheckpoint older = cluster.make_checkpoint();
-  EXPECT_TRUE(store.save(older));
-  cluster.run(2);
-  const ShardedCheckpoint newer = cluster.make_checkpoint();
-  EXPECT_TRUE(store.save(newer));
-  fx.older_step = older.global.step;
-  fx.newer_step = newer.global.step;
-
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "manifest_%010d.afms", fx.newer_step);
-  fx.newest_manifest = (fs::path(fx.dir) / buf).string();
-  std::snprintf(buf, sizeof buf, "shard_%010d_%04d.afms", fx.newer_step, 0);
-  fx.newest_shard0 = (fs::path(fx.dir) / buf).string();
-  return fx;
-}
-
-TEST(ShardStoreFuzz, ManifestFlipsRollTheWholeSetBack) {
-  const ShardFixture fx = make_shard_sets("fuzz_manifest");
-  ShardStore store(fx.dir);
-  const auto original = read_file(fx.newest_manifest);
-  ASSERT_GT(original.size(), 64u);
-
-  std::vector<std::size_t> offsets{0, 4, 8, 12, original.size() - 1};
-  for (std::size_t off = 0; off < original.size(); off += 997)
-    offsets.push_back(off);
-
-  for (std::size_t off : offsets) {
-    auto mutant = original;
-    mutant[off] ^= 0x5A;
-    write_file(fx.newest_manifest, mutant);
-    std::string error;
-    const auto loaded = store.load_latest(&error);
-    ASSERT_TRUE(loaded.has_value())
-        << "flip at " << off << " lost the older set too: " << error;
-    EXPECT_EQ(loaded->global.step, fx.older_step)
-        << "flip at " << off << " did not invalidate the newest manifest";
-  }
-  write_file(fx.newest_manifest, original);
-  const auto restored = store.load_latest();
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(restored->global.step, fx.newer_step);
-}
-
-TEST(ShardStoreFuzz, ManifestTruncationsRollTheWholeSetBack) {
-  const ShardFixture fx = make_shard_sets("fuzz_manifest_trunc");
-  ShardStore store(fx.dir);
-  const auto original = read_file(fx.newest_manifest);
-
-  for (std::size_t len :
-       {std::size_t{0}, std::size_t{3}, std::size_t{12}, original.size() / 2,
-        original.size() - 1}) {
-    auto mutant = original;
-    mutant.resize(len);
-    write_file(fx.newest_manifest, mutant);
-    std::string error;
-    const auto loaded = store.load_latest(&error);
-    ASSERT_TRUE(loaded.has_value()) << error;
-    EXPECT_EQ(loaded->global.step, fx.older_step) << "truncation to " << len;
-  }
-}
-
-TEST(ShardStoreFuzz, ShardFileDamageRollsTheWholeSetBack) {
-  const ShardFixture fx = make_shard_sets("fuzz_shard_file");
-  ShardStore store(fx.dir);
-  const auto original = read_file(fx.newest_shard0);
-  ASSERT_GT(original.size(), 64u);
-
-  std::vector<std::size_t> offsets{0, 4, 8, original.size() - 1};
-  for (std::size_t off = 0; off < original.size(); off += 997)
-    offsets.push_back(off);
-
-  for (std::size_t off : offsets) {
-    auto mutant = original;
-    mutant[off] ^= 0x5A;
-    write_file(fx.newest_shard0, mutant);
-    std::string error;
-    const auto loaded = store.load_latest(&error);
-    ASSERT_TRUE(loaded.has_value()) << error;
-    EXPECT_EQ(loaded->global.step, fx.older_step)
-        << "shard-file flip at " << off << " still served the newest set";
-  }
-
-  // Truncation and outright deletion as well.
-  auto mutant = original;
-  mutant.resize(original.size() / 2);
-  write_file(fx.newest_shard0, mutant);
-  auto loaded = store.load_latest();
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->global.step, fx.older_step);
-
-  fs::remove(fx.newest_shard0);
-  loaded = store.load_latest();
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->global.step, fx.older_step);
 }
 
 }  // namespace

@@ -186,13 +186,6 @@ TEST(FaultInjector, AdvanceToRejectsOutOfOrderSteps) {
   const FaultInjectorSnapshot snap = inj.snapshot();
   inj.restore(snap);
   inj.advance_to(0, h);  // no throw
-
-  // acknowledge_rewind() re-arms ONLY the guard (cursor untouched) for the
-  // cluster's crash recovery, which rewinds the inner engine but keeps its
-  // own fired events applied.
-  inj.advance_to(6, h);
-  inj.acknowledge_rewind();
-  inj.advance_to(1, h);  // no throw
 }
 
 // ------------------------------------------------------- transfer retry ----

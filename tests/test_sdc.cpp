@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.hpp"
 #include "core/simulation.hpp"
 #include "core/stokes_simulation.hpp"
 #include "dist/distributions.hpp"
@@ -406,49 +405,6 @@ TEST(Sdc, DetectionOnFaultFreeStokesRunIsBitIdentical) {
     EXPECT_EQ(plain.positions()[i], armed.positions()[i]) << "body " << i;
     EXPECT_EQ(plain.velocities()[i], armed.velocities()[i]) << "body " << i;
   }
-}
-
-// ---- halo payload checks (cluster/) --------------------------------------
-
-TEST(Sdc, HaloPayloadCorruptionRepairedAtReceiver) {
-  EngineConfig cfg;
-  cfg.fmm.order = 4;
-  cfg.tree.root_center = {0, 0, 0};
-  cfg.tree.root_half = 8.0;
-  cfg.balancer.initial_S = 32;
-  cfg.dt = 1e-4;
-  const auto set = test_bodies();
-  auto make_problem = [&] {
-    return GravityProblem(cfg.fmm, 1.0, 1e-3, default_node(), set);
-  };
-
-  ClusterConfig healthy;
-  healthy.num_nodes = 2;
-  ClusterEngine<GravityProblem> reference(cfg, healthy, make_problem());
-  const auto ref_recs = reference.run(8);
-
-  ClusterConfig cc;
-  cc.num_nodes = 2;
-  cc.faults.sdc_halo_payload(3);
-  cc.fault_seed = 7;
-  ClusterEngine<GravityProblem> cluster(cfg, cc, make_problem());
-  int injected = 0, detected = 0, repaired = 0;
-  double repair_seconds = 0.0;
-  const auto recs = cluster.run(8);
-  for (const auto& r : recs) {
-    injected += r.sdc_injected;
-    detected += r.sdc_detected;
-    repaired += r.sdc_repaired;
-    repair_seconds += r.sdc_repair_seconds;
-  }
-  EXPECT_EQ(injected, 1);
-  EXPECT_EQ(detected, 1);
-  EXPECT_EQ(repaired, 1);
-  EXPECT_GT(repair_seconds, 0.0);  // the re-request is charged to the halo
-  EXPECT_EQ(recs[3].halo_seconds,
-            ref_recs[3].halo_seconds + recs[3].sdc_repair_seconds);
-  expect_same_bodies(reference.engine().problem().bodies(),
-                     cluster.engine().problem().bodies());
 }
 
 }  // namespace

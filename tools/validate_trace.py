@@ -18,20 +18,15 @@ step, non-empty metric name, finite value), non-decreasing step numbers,
 no duplicate (step, metric) pairs, and an identical metric set on every
 step -- a truncated or interleaved export fails.
 
-With --cluster-nodes N the trace must additionally carry one "node<k>"
-track per cluster node (k = 0..N-1) plus the "cluster" marker track, and
-the metrics CSV must sample the cluster.* instruments. Cluster crash
-recovery REWINDS the inner step counter (restore + replay), so in this
-mode step numbers may decrease between groups and a step may be sampled
-more than once; each contiguous group must still be internally consistent
-(no duplicate metric within a group, identical metric set across groups).
-
 With --sdc the run must exercise the silent-data-corruption ladder: the
 trace must carry cat="sdc" instants including at least one "sdc-repair"
 (localized repair happened), the metrics CSV must sample the sdc.*
 instruments, and if the run escalated to a rollback the FIRST repair must
 precede the FIRST rollback -- the ladder tries surgery before amputation.
-Escalation replays steps, so --sdc also tolerates metric step rewinds.
+Escalation REWINDS the step counter (restore + replay), so with --sdc
+step numbers may decrease between groups and a step may be sampled more
+than once; each contiguous group must still be internally consistent (no
+duplicate metric within a group, identical metric set across groups).
 
 With --service the trace must come from the multi-tenant SimulationService
 (bench/service_throughput): a "service" track with cat="service" lifecycle
@@ -47,8 +42,7 @@ Exit 0 on success; nonzero with a message on the first violation. Stdlib
 only, so it runs anywhere CI has a python3.
 
 Usage: tools/validate_trace.py results/trace_demo.json \
-           [--require step,fault] [--metrics results/trace_demo_metrics.csv] \
-           [--cluster-nodes 3]
+           [--require step,fault] [--metrics results/trace_demo_metrics.csv]
 """
 
 import argparse
@@ -58,21 +52,6 @@ import sys
 
 DEFAULT_REQUIRED = "step,tree,balancer,expansion,p2p,transfer,fault,state"
 VALID_PHASES = {"X", "i", "C", "M"}
-# Instruments the cluster layer registers up front (cluster/cluster.cpp);
-# every one must appear in a cluster run's metric set.
-CLUSTER_METRICS = (
-    "cluster.halo.bytes_total",
-    "cluster.halo.retries_total",
-    "cluster.halo.timeouts_total",
-    "cluster.migrations_total",
-    "cluster.recoveries_total",
-    "cluster.nodes.alive",
-    "cluster.nodes.suspected",
-    "cluster.nodes.dead",
-    "cluster.halo.bytes",
-    "cluster.halo.messages",
-    "cluster.halo.seconds",
-)
 # Instruments the SDC ladder registers up front (obs/step_emitter.cpp);
 # every one must appear in an --sdc run's metric set.
 SDC_METRICS = (
@@ -117,19 +96,19 @@ def fail(msg: str) -> None:
     sys.exit(1)
 
 
-def check_metrics(path: str, min_steps: int, cluster_nodes: int,
-                  sdc: bool = False, service: bool = False) -> None:
+def check_metrics(path: str, min_steps: int, sdc: bool = False,
+                  service: bool = False) -> None:
     """Validate a MetricsRegistry CSV export (obs/metrics.hpp).
 
-    With cluster_nodes > 0 or sdc a step REWIND between groups is legal
-    (recovery restores an older checkpoint and replays), so the same step
-    may appear in more than one contiguous group; the cluster.* / sdc.*
-    instrument set must also be present. With service the file is the
+    With sdc a step REWIND between groups is legal (escalation restores an
+    older checkpoint and replays), so the same step may appear in more than
+    one contiguous group; the sdc.* instrument set must also be present.
+    With service the file is the
     MERGED multi-tenant export: each stream (service.* aggregates, one per
     tenant) restarts its step numbering and carries its own instrument set,
     so grouping and set comparison are per stream.
     """
-    allow_rewind = cluster_nodes > 0 or sdc or service
+    allow_rewind = sdc or service
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.read().splitlines()
@@ -159,7 +138,7 @@ def check_metrics(path: str, min_steps: int, cluster_nodes: int,
         if prev_step is not None and step < prev_step and not allow_rewind:
             fail(f"{path}:{lineno}: step {step} after step {prev_step} "
                  "(rows must be grouped by non-decreasing step; pass "
-                 "--cluster-nodes, --sdc or --service for restarts)")
+                 "--sdc or --service for restarts)")
         if not metric:
             fail(f"{path}:{lineno}: empty metric name")
         try:
@@ -191,8 +170,8 @@ def check_metrics(path: str, min_steps: int, cluster_nodes: int,
             counter_last[metric] = value
 
     # Every sampled group carries the same metric set: a partial group means
-    # the export was truncated or the emitter skipped a sink. (In cluster
-    # mode a step can legally appear in two groups -- once before a crash,
+    # the export was truncated or the emitter skipped a sink. (In sdc mode
+    # a step can legally appear in two groups -- once before a rollback,
     # once replayed -- so groups, not steps, are compared. In service mode
     # each stream has its own instrument set, so comparison is per stream.)
     reference_by_stream = {}
@@ -206,12 +185,6 @@ def check_metrics(path: str, min_steps: int, cluster_nodes: int,
                  f"{', '.join(sorted(diff))}")
     reference = reference_by_stream.get("") or next(
         iter(reference_by_stream.values()))
-
-    if cluster_nodes > 0:
-        missing = [m for m in CLUSTER_METRICS if m not in reference]
-        if missing:
-            fail(f"{path}: cluster run missing metrics: "
-                 f"{', '.join(missing)}")
 
     if sdc:
         missing = [m for m in SDC_METRICS if m not in reference]
@@ -266,15 +239,6 @@ def main() -> None:
         metavar="N",
         help="fail unless the metrics CSV covers at least N steps "
         "(catches truncated exports; default 1)",
-    )
-    ap.add_argument(
-        "--cluster-nodes",
-        type=int,
-        default=0,
-        metavar="N",
-        help="validate a cluster run: require node0..node<N-1> and "
-        "'cluster' trace tracks, require the cluster.* metrics, and "
-        "tolerate recovery step rewinds in the metrics CSV",
     )
     ap.add_argument(
         "--service",
@@ -370,13 +334,6 @@ def main() -> None:
         fail(f"missing required categories: {', '.join(missing)} "
              f"(present: {', '.join(sorted(categories))})")
 
-    if args.cluster_nodes > 0:
-        wanted = [f"node{k}" for k in range(args.cluster_nodes)] + ["cluster"]
-        absent = [t for t in wanted if t not in track_names]
-        if absent:
-            fail(f"cluster run missing tracks: {', '.join(absent)} "
-                 f"(present: {', '.join(sorted(track_names))})")
-
     if args.service:
         if "service" not in track_names:
             fail("service run has no 'service' track "
@@ -414,8 +371,8 @@ def main() -> None:
           f"({cats})")
 
     if args.metrics is not None:
-        check_metrics(args.metrics, args.min_metric_steps,
-                      args.cluster_nodes, args.sdc, args.service)
+        check_metrics(args.metrics, args.min_metric_steps, args.sdc,
+                      args.service)
 
 
 if __name__ == "__main__":
