@@ -97,6 +97,26 @@ inline std::string dump_record(const StepRecord& r) {
   return out;
 }
 
+// FNV-1a fingerprints of the trace JSON and the metric rows, one line each.
+inline std::string stream_fingerprints(const TraceRecorder& trace,
+                                       const MetricsRegistry& metrics) {
+  const std::string trace_json = trace.to_json();
+  char line[128];
+  std::snprintf(line, sizeof(line), "trace fnv1a %016llx len %zu\n",
+                static_cast<unsigned long long>(fnv1a(trace_json)),
+                trace_json.size());
+  std::string out = line;
+
+  std::string rows;
+  for (const auto& row : metrics.rows())
+    rows += std::to_string(row.step) + "," + row.metric + "," +
+            hexf(row.value) + "\n";
+  std::snprintf(line, sizeof(line), "metrics fnv1a %016llx rows %zu\n",
+                static_cast<unsigned long long>(fnv1a(rows)),
+                metrics.rows().size());
+  return out + line;
+}
+
 // Runs the scenario and serializes it; the golden file holds this string as
 // produced by the pre-refactor GravitySimulation.
 inline std::string golden_dump() {
@@ -114,22 +134,7 @@ inline std::string golden_dump() {
            hexf(bodies.velocities[i].z) + "\n";
   }
 
-  const std::string trace_json = sim.trace()->to_json();
-  char line[128];
-  std::snprintf(line, sizeof(line), "trace fnv1a %016llx len %zu\n",
-                static_cast<unsigned long long>(fnv1a(trace_json)),
-                trace_json.size());
-  out += line;
-
-  std::string metrics;
-  for (const auto& row : sim.metrics()->rows())
-    metrics +=
-        std::to_string(row.step) + "," + row.metric + "," + hexf(row.value) +
-        "\n";
-  std::snprintf(line, sizeof(line), "metrics fnv1a %016llx rows %zu\n",
-                static_cast<unsigned long long>(fnv1a(metrics)),
-                sim.metrics()->rows().size());
-  out += line;
+  out += stream_fingerprints(*sim.trace(), *sim.metrics());
   out += "virtual_now " + hexf(sim.virtual_now()) + "\n";
   return out;
 }

@@ -1,8 +1,8 @@
 // SimulationEngine seam tests (core/engine.hpp):
 //
-//   * the committed golden dump proves the engine extraction left gravity
-//     trajectories, StepRecords, trace bytes and metric rows bit-identical
-//     to the pre-refactor GravitySimulation;
+//   * the committed golden dumps pin gravity and Stokes trajectories,
+//     StepRecords, trace bytes and metric rows bit-for-bit (the gravity one
+//     was recorded with the pre-refactor GravitySimulation);
 //   * Stokes runs the same resilience loop as gravity (audit failure and
 //     watchdog trips roll back to the last good checkpoint and re-enter
 //     Search);
@@ -24,13 +24,14 @@
 #include "core/stokes_simulation.hpp"
 #include "dist/distributions.hpp"
 #include "golden_gravity.hpp"
+#include "golden_stokes.hpp"
 #include "util/rng.hpp"
 
 namespace afmm {
 namespace {
 
-std::string golden_path() {
-  return std::string(AFMM_GOLDEN_DIR) + "/gravity_short.golden";
+std::string golden_path(const std::string& name) {
+  return std::string(AFMM_GOLDEN_DIR) + "/" + name;
 }
 
 // First line where the two dumps disagree, for a readable failure message.
@@ -49,18 +50,19 @@ std::string first_diff(const std::string& a, const std::string& b) {
   }
 }
 
-TEST(Engine, GravityGoldenTrajectoryIsBitIdentical) {
-  const std::string got = golden::golden_dump();
-
+// Compares a fresh dump with the committed golden file `name`; under
+// AFMM_REGEN_GOLDEN=1 rewrites the file instead and skips.
+void check_golden(const std::string& name, const std::string& got) {
+  const std::string path = golden_path(name);
   if (std::getenv("AFMM_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(golden_path(), std::ios::binary);
-    ASSERT_TRUE(out) << "cannot write " << golden_path();
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out) << "cannot write " << path;
     out << got;
-    GTEST_SKIP() << "regenerated " << golden_path();
+    GTEST_SKIP() << "regenerated " << path;
   }
 
-  std::ifstream in(golden_path(), std::ios::binary);
-  ASSERT_TRUE(in) << "missing " << golden_path()
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << "missing " << path
                   << " (run with AFMM_REGEN_GOLDEN=1 to create it)";
   std::stringstream buf;
   buf << in.rdbuf();
@@ -74,6 +76,16 @@ TEST(Engine, GravityGoldenTrajectoryIsBitIdentical) {
   EXPECT_EQ(golden::fnv1a(got), golden::fnv1a(expect))
       << "first divergence at " << first_diff(expect, got);
   EXPECT_TRUE(got == expect);
+}
+
+TEST(Engine, GravityGoldenTrajectoryIsBitIdentical) {
+  check_golden("gravity_short.golden", golden::golden_dump());
+}
+
+// The Stokeslet near field, m2l_multi with nrhs = 4 and the P2P batch
+// checksum repair have their own committed reference.
+TEST(Engine, StokesGoldenTrajectoryIsBitIdentical) {
+  check_golden("stokes_short.golden", golden::stokes_golden_dump());
 }
 
 std::vector<Vec3> blob(Rng& rng, int n, const Vec3& center, double radius) {
