@@ -1,5 +1,7 @@
 #include "core/engine.hpp"
 
+#include <cmath>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -27,6 +29,17 @@ bool sdc_repairable(const AuditReport& report) {
   return true;
 }
 
+// Rejects a time step the integrators cannot advance with.
+const EngineConfig& validated(const EngineConfig& c) {
+  if (!(std::isfinite(c.dt) && c.dt > 0.0)) {
+    char msg[96];
+    std::snprintf(msg, sizeof(msg),
+                  "EngineConfig: dt must be finite and > 0, got %g", c.dt);
+    throw std::invalid_argument(msg);
+  }
+  return c;
+}
+
 }  // namespace
 
 template <class Problem>
@@ -40,7 +53,7 @@ template <class Problem>
 SimulationEngine<Problem>::SimulationEngine(DeferredInit,
                                             const EngineConfig& config,
                                             Problem problem)
-    : config_(config),
+    : config_(validated(config)),
       problem_(std::move(problem)),
       balancer_(config.balancer, config.fmm.traversal),
       injector_(config.faults, config.fault_seed) {

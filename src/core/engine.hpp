@@ -145,7 +145,8 @@ class SimulationEngine {
  public:
   // Fresh run: builds the tree from the problem's bodies at the balancer's
   // initial S and primes the state with one solve (i.e. prepare() runs
-  // inside the constructor).
+  // inside the constructor). Every constructor throws std::invalid_argument
+  // when config.dt is not finite or not > 0.
   SimulationEngine(const EngineConfig& config, Problem problem);
 
   // Fresh run, lazily: construction only wires the components; prepare()

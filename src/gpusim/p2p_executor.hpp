@@ -1,13 +1,16 @@
 // Executes the near-field (P2P) phase on the simulated multi-GPU system.
 //
-// Numerics: run_p2p is the one near-field executor. It processes the work
-// list once, in list order, exactly as the paper's CUDA kernel computes each
-// item -- every target body accumulates its sources in concatenated
-// source-list order (the lock-step tile march visits sources in that order
-// for every lane). The traversal emits one work item per target node and
-// target spans never overlap, so every body receives exactly one `+=`: the
-// forces do not depend on which device a work item is assigned to, on how
-// many devices survive, or on the order the items run in.
+// Numerics: run_p2p is the one near-field executor. Its work items (one per
+// target node) run across the OpenMP threads, handed out one at a time,
+// largest `interactions` first. Inside an item every target body accumulates
+// its sources in concatenated source-list order, exactly as the paper's CUDA
+// kernel does (the lock-step tile march visits sources in that order for
+// every lane). Target spans never overlap, so every body receives exactly one
+// `+=`, from the one thread that ran its item. The forces are therefore
+// bit-identical for any thread count and any run order, and do not depend on
+// which device a work item is assigned to or on how many devices survive.
+// The SDC victim batch and the verify sample are keyed by the work index,
+// not by the run order, so fault replay is thread-count independent too.
 //
 // Timing: simulate_p2p_timing partitions the work across the devices,
 // expands each device's share into block shapes and passes them to
@@ -23,8 +26,10 @@
 // field to the CPU (the Fig. 7 baseline path); the forces are unchanged.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -106,16 +111,17 @@ std::vector<GpuWorkShape> collect_shapes(const AdaptiveOctree& tree,
 // into them); `out` accumulates per tree-ordered body.
 //
 // ABFT (sdc/): each work item -- one "batch", the unit a device would hand
-// back -- is computed into a staging buffer, checksummed at production, and
-// only flushed into `out` after verification. A corrupted batch (the
-// simulated kSdcGpuBatch event flips a bit post-"transfer"; the victim is a
-// work index) is detected by the checksum mismatch and SURGICALLY REPAIRED
-// by re-executing just that batch on the CPU; `sdc->detect->p2p_verify_stride`
-// additionally re-evaluates one target body of every Nth work item from
-// scratch as an independent end-to-end sample. The staging buffer changes
-// no arithmetic: per-target accumulation order and the `out[bt] += batch[j]`
-// flush are the exact operations of the direct path, so results stay
-// bit-identical with hooks on, off, or null.
+// back -- is computed into its thread's staging buffer, checksummed at
+// production, and only flushed into `out` after verification. A corrupted
+// batch (the simulated kSdcGpuBatch event flips a bit post-"transfer"; the
+// victim is a work index) is detected by the checksum mismatch and
+// SURGICALLY REPAIRED by re-executing just that batch on the CPU;
+// `sdc->detect->p2p_verify_stride` additionally re-evaluates one target body
+// of every Nth work item from scratch as an independent end-to-end sample.
+// The staging buffer changes no arithmetic: per-target accumulation order
+// and the `out[bt] += batch[j]` flush are the exact operations of the direct
+// path, so results stay bit-identical with hooks on, off, or null. The
+// `sdc->report` counters are bumped atomically.
 template <typename Kernel>
 GpuRunResult run_p2p(const AdaptiveOctree& tree,
                      const std::vector<P2PWork>& work, const Kernel& kernel,
@@ -148,57 +154,79 @@ GpuRunResult run_p2p(const AdaptiveOctree& tree,
     return acc;
   };
 
-  // Value-initializing the batch keeps any padding bytes deterministic for
-  // raw-byte checksums.
-  std::vector<Accum> batch;
-  auto compute_batch = [&](const P2PWork& w, const OctreeNode& t) {
-    batch.assign(t.count, Accum{});
-    for (std::uint32_t j = 0; j < t.count; ++j)
-      batch[j] = target_sum(w, t.begin + j);
-  };
-  // The sampled CPU re-evaluation: recompute the first target body from
-  // scratch; true when it matches the staged result bitwise.
-  auto sample_matches = [&](const P2PWork& w, const OctreeNode& t) {
-    if (t.count == 0) return true;
-    const Accum acc = target_sum(w, t.begin);
-    return std::memcmp(&acc, batch.data(), sizeof(Accum)) == 0;
+  // Largest first: with dynamic hand-out, the few big items (their sizes are
+  // very uneven) start early instead of leaving one thread working alone at
+  // the end. The order only decides when an item runs, never its arithmetic.
+  std::vector<std::size_t> order(work.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return work[a].interactions > work[b].interactions;
+                   });
+  SdcReport* report = sdc ? sdc->report : nullptr;
+  auto count = [](int& counter) {
+#pragma omp atomic
+    ++counter;
   };
 
-  for (std::size_t wi = 0; wi < work.size(); ++wi) {
-    const P2PWork& w = work[wi];
-    const OctreeNode& t = tree.node(w.target);
-    compute_batch(w, t);
-    const std::size_t bytes = batch.size() * sizeof(Accum);
-    // ABFT checksum at production time (before the batch "leaves the
-    // device"); also the bit-exact ground truth a repair must reproduce.
-    const std::uint64_t want =
-        check_sums ? sdc_checksum_bytes(batch.data(), bytes) : 0;
-    if (static_cast<std::int64_t>(wi) == inject_wi && !batch.empty()) {
-      // The victim double is seed-picked across the whole batch: corruption
-      // can land in any accumulator field of any target body.
-      double* doubles = reinterpret_cast<double*>(batch.data());
-      sdc_flip_double_bit(
-          doubles[sdc_pick(sdc->seed >> 7, bytes / sizeof(double))],
-          static_cast<int>(sdc->seed >> 17));
-      if (sdc->report) ++sdc->report->injected;
-    }
-    bool bad = false;
-    if (check_sums) bad = sdc_checksum_bytes(batch.data(), bytes) != want;
-    if (!bad && sample_stride > 0 && wi % sample_stride == 0)
-      bad = !sample_matches(w, t);
-    if (bad) {
-      if (sdc->report) ++sdc->report->detected;
-      // Surgical repair: recompute just this batch, then prove the repair
-      // bit-exact against the production-time checksum (or the sampled
-      // re-evaluation when checksums are off).
+#pragma omp parallel
+  {
+    // Per-thread staging buffer. Value-initializing it keeps any padding
+    // bytes deterministic for raw-byte checksums.
+    std::vector<Accum> batch;
+    auto compute_batch = [&](const P2PWork& w, const OctreeNode& t) {
+      batch.assign(t.count, Accum{});
+      for (std::uint32_t j = 0; j < t.count; ++j)
+        batch[j] = target_sum(w, t.begin + j);
+    };
+    // The sampled CPU re-evaluation: recompute the first target body from
+    // scratch; true when it matches the staged result bitwise.
+    auto sample_matches = [&](const P2PWork& w, const OctreeNode& t) {
+      if (t.count == 0) return true;
+      const Accum acc = target_sum(w, t.begin);
+      return std::memcmp(&acc, batch.data(), sizeof(Accum)) == 0;
+    };
+
+#pragma omp for schedule(dynamic, 1)
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      // The SDC victim and the verify sample are keyed by the work index,
+      // not by the position in the run order.
+      const std::size_t wi = order[k];
+      const P2PWork& w = work[wi];
+      const OctreeNode& t = tree.node(w.target);
       compute_batch(w, t);
-      const bool fixed =
-          check_sums ? sdc_checksum_bytes(batch.data(), bytes) == want
-                     : sample_matches(w, t);
-      if (sdc->report) ++(fixed ? sdc->report->repaired
-                                : sdc->report->unrepaired);
+      const std::size_t bytes = batch.size() * sizeof(Accum);
+      // ABFT checksum at production time (before the batch "leaves the
+      // device"); also the bit-exact ground truth a repair must reproduce.
+      const std::uint64_t want =
+          check_sums ? sdc_checksum_bytes(batch.data(), bytes) : 0;
+      if (static_cast<std::int64_t>(wi) == inject_wi && !batch.empty()) {
+        // The victim double is seed-picked across the whole batch:
+        // corruption can land in any accumulator field of any target body.
+        double* doubles = reinterpret_cast<double*>(batch.data());
+        sdc_flip_double_bit(
+            doubles[sdc_pick(sdc->seed >> 7, bytes / sizeof(double))],
+            static_cast<int>(sdc->seed >> 17));
+        if (report) count(report->injected);
+      }
+      bool bad = false;
+      if (check_sums) bad = sdc_checksum_bytes(batch.data(), bytes) != want;
+      if (!bad && sample_stride > 0 && wi % sample_stride == 0)
+        bad = !sample_matches(w, t);
+      if (bad) {
+        if (report) count(report->detected);
+        // Surgical repair: recompute just this batch, then prove the repair
+        // bit-exact against the production-time checksum (or the sampled
+        // re-evaluation when checksums are off).
+        compute_batch(w, t);
+        const bool fixed =
+            check_sums ? sdc_checksum_bytes(batch.data(), bytes) == want
+                       : sample_matches(w, t);
+        if (report) count(fixed ? report->repaired : report->unrepaired);
+      }
+      // Target spans are disjoint, so this flush needs no lock.
+      for (std::uint32_t j = 0; j < t.count; ++j) out[t.begin + j] += batch[j];
     }
-    for (std::uint32_t j = 0; j < t.count; ++j) out[t.begin + j] += batch[j];
   }
 
   return simulate_p2p_timing(tree, work, Kernel::flops_per_interaction(),

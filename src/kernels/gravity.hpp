@@ -38,8 +38,9 @@ class GravityKernel {
   using Source = GravitySource;
   using Accum = GravityAccum;
 
-  explicit GravityKernel(double softening = 0.0)
-      : eps2_(softening * softening) {}
+  // Throws std::invalid_argument when `softening` is negative or not finite
+  // (a negative value would silently be squared into a positive one).
+  explicit GravityKernel(double softening = 0.0);
 
   // One target <- source interaction; `tid`/`sid` are global body ids used to
   // skip self-interaction exactly (coincident distinct bodies still count).

@@ -1,8 +1,20 @@
 #include "kernels/stokeslet.hpp"
 
+#include <cmath>
+#include <cstdio>
 #include <stdexcept>
 
 namespace afmm {
+
+StokesletKernel::StokesletKernel(double epsilon) : eps2_(epsilon * epsilon) {
+  if (!(std::isfinite(epsilon) && epsilon > 0.0)) {
+    char msg[96];
+    std::snprintf(msg, sizeof(msg),
+                  "StokesletKernel: epsilon must be finite and > 0, got %g",
+                  epsilon);
+    throw std::invalid_argument(msg);
+  }
+}
 
 std::vector<StokesletAccum> stokeslet_direct_all(
     const StokesletKernel& kernel, std::span<const Vec3> positions,

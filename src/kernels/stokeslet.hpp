@@ -45,7 +45,9 @@ class StokesletKernel {
   using Source = StokesletSource;
   using Accum = StokesletAccum;
 
-  explicit StokesletKernel(double epsilon) : eps2_(epsilon * epsilon) {}
+  // Throws std::invalid_argument when `epsilon` is not finite or not > 0:
+  // the kernel keeps self terms, which are finite only for eps > 0.
+  explicit StokesletKernel(double epsilon);
 
   void accumulate(const Vec3& xt, std::uint32_t tid, const Source& s,
                   std::uint32_t sid, Accum& a) const {

@@ -44,17 +44,24 @@ inline StokesSimulationConfig stokes_golden_config() {
   return cfg;
 }
 
+// `n` points drawn uniformly from the ball of `radius` around `center`.
+inline std::vector<Vec3> blob(Rng& rng, int n, const Vec3& center,
+                              double radius) {
+  std::vector<Vec3> pos;
+  while (static_cast<int>(pos.size()) < n) {
+    Vec3 p{rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)};
+    if (norm2(p) <= 1.0) pos.push_back(center + radius * p);
+  }
+  return pos;
+}
+
 inline StokesSimulation stokes_golden_simulation() {
   Rng rng(2027);
-  std::vector<Vec3> pos;
-  while (pos.size() < 600) {
-    const Vec3 p{rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)};
-    if (norm2(p) <= 1.0) pos.push_back(Vec3{0, 0, 3} + p);
-  }
   return StokesSimulation(stokes_golden_config(),
                           NodeSimulator(CpuModelConfig{},
                                         GpuSystemConfig::uniform(2)),
-                          std::move(pos), constant_force({0, 0, -1}));
+                          blob(rng, 600, {0, 0, 3}, 1.0),
+                          constant_force({0, 0, -1}));
 }
 
 inline std::string stokes_golden_dump() {

@@ -15,6 +15,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -29,10 +30,6 @@
 
 namespace afmm {
 namespace {
-
-std::string golden_path(const std::string& name) {
-  return std::string(AFMM_GOLDEN_DIR) + "/" + name;
-}
 
 // First line where the two dumps disagree, for a readable failure message.
 std::string first_diff(const std::string& a, const std::string& b) {
@@ -53,7 +50,7 @@ std::string first_diff(const std::string& a, const std::string& b) {
 // Compares a fresh dump with the committed golden file `name`; under
 // AFMM_REGEN_GOLDEN=1 rewrites the file instead and skips.
 void check_golden(const std::string& name, const std::string& got) {
-  const std::string path = golden_path(name);
+  const std::string path = std::string(AFMM_GOLDEN_DIR) + "/" + name;
   if (std::getenv("AFMM_REGEN_GOLDEN") != nullptr) {
     std::ofstream out(path, std::ios::binary);
     ASSERT_TRUE(out) << "cannot write " << path;
@@ -88,14 +85,7 @@ TEST(Engine, StokesGoldenTrajectoryIsBitIdentical) {
   check_golden("stokes_short.golden", golden::stokes_golden_dump());
 }
 
-std::vector<Vec3> blob(Rng& rng, int n, const Vec3& center, double radius) {
-  std::vector<Vec3> pos;
-  while (static_cast<int>(pos.size()) < n) {
-    Vec3 p{rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)};
-    if (norm2(p) <= 1.0) pos.push_back(center + radius * p);
-  }
-  return pos;
-}
+using golden::blob;
 
 StokesSimulationConfig stokes_config() {
   StokesSimulationConfig cfg;
@@ -116,6 +106,33 @@ StokesSimulation stokes_sim(const StokesSimulationConfig& cfg,
   NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
   return StokesSimulation(cfg, std::move(node), std::move(pos),
                           constant_force({0, 0, -1}));
+}
+
+TEST(Engine, RejectsNonPositiveOrNonFiniteDt) {
+  for (double dt : {0.0, -1e-3, std::numeric_limits<double>::quiet_NaN(),
+                    std::numeric_limits<double>::infinity()}) {
+    SimulationConfig grav;
+    grav.dt = dt;
+    Rng rng(5);
+    EXPECT_THROW(GravitySimulation(grav,
+                                   NodeSimulator(CpuModelConfig{},
+                                                 GpuSystemConfig::uniform(1)),
+                                   uniform_cube(50, rng, {0.5, 0.5, 0.5}, 0.5)),
+                 std::invalid_argument)
+        << dt;
+    auto stokes = stokes_config();
+    stokes.dt = dt;
+    EXPECT_THROW(stokes_sim(stokes), std::invalid_argument) << dt;
+  }
+  auto cfg = stokes_config();
+  cfg.dt = -0.5;
+  try {
+    stokes_sim(cfg);
+    ADD_FAILURE() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("dt"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("-0.5"), std::string::npos);
+  }
 }
 
 TEST(Engine, StokesAuditFailureRollsBackAndReSearches) {

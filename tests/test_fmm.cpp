@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "core/fmm_solver.hpp"
 #include "dist/distributions.hpp"
@@ -247,6 +250,22 @@ TEST(Fmm, SofteningChangesOnlyNearField) {
   double diff = 0.0;
   for (int i = 0; i < n; ++i) diff += std::abs(a.potential[i] - b.potential[i]);
   EXPECT_GT(diff, 0.0);
+}
+
+TEST(GravityKernel, RejectsNegativeOrNonFiniteSoftening) {
+  // A negative softening used to be squared silently into a positive one.
+  for (double eps : {-1e-3, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()})
+    EXPECT_THROW(GravityKernel{eps}, std::invalid_argument) << eps;
+  try {
+    GravityKernel{-0.25};
+    ADD_FAILURE() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("softening"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("-0.25"), std::string::npos);
+  }
+  EXPECT_EQ(GravityKernel(0.0).softening2(), 0.0);
+  EXPECT_EQ(GravityKernel(0.5).softening2(), 0.25);
 }
 
 TEST(Fmm, TimesAndStatsPopulated) {

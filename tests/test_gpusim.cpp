@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cstring>
 #include <numeric>
@@ -324,6 +325,76 @@ TEST(P2PExecutor, ResultIndependentOfGpuCount) {
   EXPECT_TRUE(simulate_p2p_timing(tree, lists.p2p, 20.0,
                                   GpuSystemConfig::uniform(3), &all_dead)
                   .cpu_fallback);
+}
+
+// Runs the near field of `kernel` under 1, 2 and 4 OpenMP threads, plain
+// and with every P2P SDC hook armed (checksums, a verify sample every third
+// work item, one injected batch corruption), and expects the same bits from
+// every run and a 1/1/1/0 SDC report at every thread count.
+template <typename Kernel>
+void expect_thread_count_independent(
+    const AdaptiveOctree& tree, const std::vector<P2PWork>& work,
+    const Kernel& kernel,
+    const std::vector<typename Kernel::Source>& sources) {
+  using Accum = typename Kernel::Accum;
+  const std::size_t n = sources.size();
+  SdcDetectConfig detect;
+  detect.p2p_checks = true;
+  detect.p2p_verify_stride = 3;
+
+  std::vector<Accum> first;
+  for (int threads : {1, 2, 4}) {
+    omp_set_num_threads(threads);
+    for (bool armed : {false, true}) {
+      SdcReport report;
+      const SdcHooks hooks{&detect, true, 0x5dc, &report};
+      std::vector<Accum> out(n);
+      run_p2p(tree, work, kernel,
+              std::span<const typename Kernel::Source>(sources), tree.perm(),
+              GpuSystemConfig::uniform(2), std::span<Accum>(out), nullptr,
+              armed ? &hooks : nullptr);
+      if (armed) {
+        EXPECT_EQ(report.injected, 1) << "threads=" << threads;
+        EXPECT_EQ(report.detected, 1) << "threads=" << threads;
+        EXPECT_EQ(report.repaired, 1) << "threads=" << threads;
+        EXPECT_EQ(report.unrepaired, 0) << "threads=" << threads;
+      }
+      if (first.empty()) {
+        first = out;
+        continue;
+      }
+      EXPECT_EQ(std::memcmp(first.data(), out.data(), n * sizeof(Accum)), 0)
+          << "threads=" << threads << " armed=" << armed;
+    }
+  }
+}
+
+TEST(P2PExecutor, ResultIndependentOfThreadCount) {
+  // Restores the caller's thread count even when an assertion fails.
+  struct ThreadCountGuard {
+    int saved = omp_get_max_threads();
+    ~ThreadCountGuard() { omp_set_num_threads(saved); }
+  } guard;
+
+  Rng rng(10);
+  const int n = 1500;
+  const auto pts = random_points(rng, n);
+  AdaptiveOctree tree;
+  tree.build(pts, unit_config(40));
+  const auto lists = build_interaction_lists(tree);
+  const auto pos = tree.sorted_positions();
+
+  std::vector<GravitySource> masses(n);
+  for (int t = 0; t < n; ++t) masses[t] = {pos[t], rng.uniform(0.1, 2.0)};
+  expect_thread_count_independent(tree, lists.p2p, GravityKernel(1e-3),
+                                  masses);
+
+  std::vector<StokesletSource> forces(n);
+  for (int t = 0; t < n; ++t)
+    forces[t] = {pos[t], {rng.uniform(-1, 1), rng.uniform(-1, 1),
+                          rng.uniform(-1, 1)}};
+  expect_thread_count_independent(tree, lists.p2p, StokesletKernel(1e-3),
+                                  forces);
 }
 
 TEST(P2PExecutor, MoreGpusReduceKernelTime) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "core/fmm_solver.hpp"
 #include "dist/distributions.hpp"
@@ -192,6 +195,21 @@ TEST(StokesletDirect, SingularSkipsSelfPairs) {
   // u = f/r + r (r.f)/r^3 = (1,0,0) + (1,0,0) = (2,0,0).
   EXPECT_NEAR(out[1].u.x, 2.0, 1e-14);
   EXPECT_NEAR(out[0].u.x, 0.0, 1e-14);  // zero-force source, self skipped
+}
+
+TEST(StokesletKernel, RejectsNonPositiveOrNonFiniteEpsilon) {
+  // Self terms are kept, so eps = 0 would put inf into every velocity.
+  for (double eps : {0.0, -0.1, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()})
+    EXPECT_THROW(StokesletKernel{eps}, std::invalid_argument) << eps;
+  try {
+    StokesletKernel{-0.1};
+    ADD_FAILURE() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("epsilon"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("-0.1"), std::string::npos);
+  }
+  EXPECT_EQ(StokesletKernel(0.5).epsilon2(), 0.25);
 }
 
 TEST(StokesletDirect, SizesChecked) {
