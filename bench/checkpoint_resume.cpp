@@ -16,7 +16,10 @@
 //                     auditor must catch it and roll back.
 //
 // Per-step series (reference vs resumed, with match flags) mirror to
-// checkpoint_resume.csv; the recovery summary prints at the end.
+// checkpoint_resume.csv; the recovery summary prints at the end. The two
+// runs' snapshot stores live under --out too (checkpoint_resume_ref/,
+// checkpoint_resume_kill/). Exits nonzero unless the resumed run is
+// bit-identical, the torn write falls back and the NaN rolls back.
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -75,14 +78,14 @@ int main(int argc, char** argv) {
               n, order, steps, interval, kill);
 
   // ---- act 1: uninterrupted reference ------------------------------------
-  const std::string ref_dir = "checkpoint_resume_ref";
+  const std::string ref_dir = out + "/checkpoint_resume_ref";
   reset_dir(ref_dir);
   cfg.resilience.checkpoint_dir = ref_dir;
   GravitySimulation reference(cfg, node(), set);
   const auto ref_records = reference.run(steps);
 
   // ---- act 2: kill at --kill, resume from the newest snapshot ------------
-  const std::string kill_dir = "checkpoint_resume_kill";
+  const std::string kill_dir = out + "/checkpoint_resume_kill";
   reset_dir(kill_dir);
   cfg.resilience.checkpoint_dir = kill_dir;
   std::vector<StepRecord> resumed_records(static_cast<std::size_t>(steps));

@@ -31,14 +31,11 @@
 
 namespace afmm::bench {
 
-// Percentile shorthands over util/stats.hpp's interpolating percentile(),
-// so benches report medians and tail latencies through one definition
-// instead of hand-sorting samples.
+// Median shorthand over util/stats.hpp's interpolating percentile(), so
+// benches report medians through one definition instead of hand-sorting
+// samples.
 inline double p50(std::vector<double> sample) {
   return percentile(std::move(sample), 0.50);
-}
-inline double p99(std::vector<double> sample) {
-  return percentile(std::move(sample), 0.99);
 }
 
 // Paper test system A: 2x Xeon X5670 (12 cores, 6 per socket) + Tesla C2050s.

@@ -59,7 +59,9 @@ LoadBalancer::LoadBalancer(const LoadBalancerConfig& config,
       model_(config.smoothing),
       s_(config.initial_S),
       search_lo_(config.min_S),
-      search_hi_(config.max_S) {}
+      search_hi_(config.max_S) {
+  traversal_.validate();
+}
 
 LoadBalancerSnapshot LoadBalancer::snapshot() const {
   LoadBalancerSnapshot s;

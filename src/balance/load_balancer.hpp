@@ -122,6 +122,7 @@ struct LoadBalancerSnapshot {
 
 class LoadBalancer {
  public:
+  // Throws std::invalid_argument when either config is invalid.
   LoadBalancer(const LoadBalancerConfig& config, TraversalConfig traversal);
 
   // Digest the observed times of the step just solved and prepare the tree

@@ -29,7 +29,8 @@ bool sdc_repairable(const AuditReport& report) {
   return true;
 }
 
-// Rejects a time step the integrators cannot advance with.
+// Rejects a time step the integrators cannot advance with, and a
+// resilience policy with a negative cadence or a meaningless tolerance.
 const EngineConfig& validated(const EngineConfig& c) {
   if (!(std::isfinite(c.dt) && c.dt > 0.0)) {
     char msg[96];
@@ -37,20 +38,14 @@ const EngineConfig& validated(const EngineConfig& c) {
                   "EngineConfig: dt must be finite and > 0, got %g", c.dt);
     throw std::invalid_argument(msg);
   }
+  c.resilience.validate();
   return c;
 }
 
 }  // namespace
 
 template <class Problem>
-SimulationEngine<Problem>::SimulationEngine(const EngineConfig& config,
-                                            Problem problem)
-    : SimulationEngine(DeferredInit{}, config, std::move(problem)) {
-  prepare();
-}
-
-template <class Problem>
-SimulationEngine<Problem>::SimulationEngine(DeferredInit,
+SimulationEngine<Problem>::SimulationEngine(Unprimed,
                                             const EngineConfig& config,
                                             Problem problem)
     : config_(validated(config)),
@@ -63,19 +58,8 @@ SimulationEngine<Problem>::SimulationEngine(DeferredInit,
 
 template <class Problem>
 SimulationEngine<Problem>::SimulationEngine(const EngineConfig& config,
-                                            Problem problem,
-                                            const SimCheckpoint& ckpt)
-    : SimulationEngine(DeferredInit{}, config, std::move(problem)) {
-  restore(ckpt);
-  prepared_ = true;  // the snapshot IS the prepared state
-  init_resilience();
-  init_obs();
-}
-
-template <class Problem>
-void SimulationEngine<Problem>::prepare() {
-  if (prepared_) return;
-  prepared_ = true;
+                                            Problem problem)
+    : SimulationEngine(Unprimed{}, config, std::move(problem)) {
   TreeConfig tc = config_.tree;
   tc.leaf_capacity = config_.balancer.initial_S;
   tree_.build(problem_.positions(), tc);
@@ -85,14 +69,23 @@ void SimulationEngine<Problem>::prepare() {
 }
 
 template <class Problem>
+SimulationEngine<Problem>::SimulationEngine(const EngineConfig& config,
+                                            Problem problem,
+                                            const SimCheckpoint& ckpt)
+    : SimulationEngine(Unprimed{}, config, std::move(problem)) {
+  restore(ckpt);
+  init_resilience();
+  init_obs();
+}
+
+template <class Problem>
 void SimulationEngine<Problem>::init_obs() {
-  if (config_.obs.trace && !ext_trace_)
-    trace_ = std::make_unique<TraceRecorder>();
-  if (config_.obs.metrics && !ext_metrics_) {
+  if (config_.obs.trace) trace_ = std::make_unique<TraceRecorder>();
+  if (config_.obs.metrics) {
     metrics_ = std::make_unique<MetricsRegistry>();
     register_step_metrics(*metrics_);
   }
-  if (active_trace()) balancer_.set_trace(active_trace(), &virtual_now_);
+  if (trace_) balancer_.set_trace(trace_.get(), &virtual_now_);
 }
 
 template <class Problem>
@@ -101,16 +94,13 @@ void SimulationEngine<Problem>::init_resilience() {
   if (!rz.enabled()) return;
   watchdog_ = StepWatchdog(rz.watchdog);
   if (!rz.checkpoint_dir.empty()) {
-    std::string owner = rz.checkpoint_owner;
-    if (owner.empty()) {
-      // No explicit namespace: claim the first free one for this dir so
-      // engines sharing a checkpoint_dir in one process never rotate each
-      // other's snapshots. The first claimant keeps the legacy bare names
-      // (a later process resuming from this dir finds them unchanged).
-      owner_claim_ = CheckpointOwnerClaim::claim(rz.checkpoint_dir);
-      owner = owner_claim_.owner();
-    }
-    store_.emplace(rz.checkpoint_dir, rz.checkpoint_keep, owner);
+    // Claim the first free namespace for this dir so engines sharing a
+    // checkpoint_dir in one process never rotate each other's snapshots.
+    // The first claimant keeps the bare names (a later process resuming
+    // from this dir finds them unchanged).
+    owner_claim_ = CheckpointOwnerClaim::claim(rz.checkpoint_dir);
+    store_.emplace(rz.checkpoint_dir, rz.checkpoint_keep,
+                   owner_claim_.owner());
   }
   // Seed the rollback target so recovery works before the first scheduled
   // checkpoint. For a restored run this re-snapshots the restored state.
@@ -119,51 +109,12 @@ void SimulationEngine<Problem>::init_resilience() {
 }
 
 template <class Problem>
-void SimulationEngine<Problem>::set_external_obs(TraceRecorder* trace,
-                                                 MetricsRegistry* metrics,
-                                                 std::string tenant) {
-  if (first_step_done_)
-    throw std::logic_error(
-        "set_external_obs must be called before the first step taken on "
-        "this engine");
-  if (!valid_store_owner(tenant))
-    throw std::invalid_argument("tenant '" + tenant +
-                                "' invalid: only [A-Za-z0-9.-] allowed");
-  ext_trace_ = trace;
-  ext_metrics_ = metrics;
-  tenant_ = std::move(tenant);
-  if (ext_metrics_) register_step_metrics(*ext_metrics_, tenant_);
-  // A prepared engine already wired the balancer to its (possibly null) own
-  // recorder; re-point it at the sink now in effect.
-  if (prepared_ && active_trace())
-    balancer_.set_trace(active_trace(), &virtual_now_);
-}
-
-template <class Problem>
-double SimulationEngine<Problem>::predicted_step_seconds() const {
-  if (!prepared_ || !last_observed_) return 1e-3;  // nominal pre-solve guess
-  const CostModel& cm = balancer_.cost_model();
-  if (cm.ready())
-    return cm.predict_far(last_observed_->counts,
-                          problem_.node().effective_cores()) +
-           cm.predict_near(last_observed_->counts);
-  return last_observed_->compute_seconds();
-}
-
-template <class Problem>
 void SimulationEngine<Problem>::initial_solve() {
   last_observed_ = problem_.initial_solve(tree_).times;
 }
 
 template <class Problem>
-StepRecord SimulationEngine<Problem>::step_once() {
-  prepare();
-  first_step_done_ = true;
-  return step_guarded();
-}
-
-template <class Problem>
-StepRecord SimulationEngine<Problem>::step_guarded() {
+StepRecord SimulationEngine<Problem>::step() {
   const ResilienceConfig& rz = config_.resilience;
   if (!rz.enabled()) {
     StepRecord rec = step_core();
@@ -236,8 +187,7 @@ void SimulationEngine<Problem>::finish_step_obs(const StepRecord& rec) {
   in.cache_builds = list_cache_.builds();
   in.cache_hits = list_cache_.hits();
   in.cache_refreshes = list_cache_.refreshes();
-  in.tenant = tenant_;
-  virtual_now_ += emit_step(active_trace(), active_metrics(), in);
+  virtual_now_ += emit_step(trace_.get(), metrics_.get(), in);
   pending_obs_.reset();
 }
 
@@ -283,7 +233,7 @@ StepRecord SimulationEngine<Problem>::step_core() {
     rec.predicted_near_seconds =
         balancer_.cost_model().predict_near(res.times.counts);
   }
-  if (active_trace() || active_metrics()) {
+  if (trace_ || metrics_) {
     PendingObs obs;
     obs.times = res.times;
     obs.gpu = res.gpu;
@@ -324,7 +274,7 @@ template <class Problem>
 std::vector<StepRecord> SimulationEngine<Problem>::run(int n) {
   std::vector<StepRecord> out;
   out.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) out.push_back(step_once());
+  for (int i = 0; i < n; ++i) out.push_back(step());
   return out;
 }
 

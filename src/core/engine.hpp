@@ -133,77 +133,30 @@ struct StepRecord {
   bool sdc_escalated = false;    // repair ladder exhausted -> rollback path
 };
 
-// Tag selecting the deferred-initialization constructor: the engine is
-// wired but its tree build / priming solve / resilience / obs setup waits
-// for prepare() (or the first step_once()). The multi-tenant service admits
-// hundreds of sessions this way so admission stays O(1) and the expensive
-// prepare happens on the session's first scheduled step.
-struct DeferredInit {};
-
 template <class Problem>
 class SimulationEngine {
  public:
   // Fresh run: builds the tree from the problem's bodies at the balancer's
-  // initial S and primes the state with one solve (i.e. prepare() runs
-  // inside the constructor). Every constructor throws std::invalid_argument
-  // when config.dt is not finite or not > 0.
+  // initial S, primes the state with one solve and sets up resilience and
+  // observability. Every constructor throws std::invalid_argument when
+  // config.dt is not finite or not > 0, or when config.resilience is
+  // invalid (ResilienceConfig::validate).
   SimulationEngine(const EngineConfig& config, Problem problem);
-
-  // Fresh run, lazily: construction only wires the components; prepare()
-  // runs on the first step_once() (or explicitly). A deferred engine that is
-  // then stepped produces the bit-identical trajectory of an eager one.
-  SimulationEngine(DeferredInit, const EngineConfig& config, Problem problem);
 
   // Resume from a checkpoint: the engine continues the EXACT trajectory the
   // checkpointed run would have produced (config and machine must match the
-  // original run's). Throws std::invalid_argument on a kind mismatch. A
-  // restored engine is already prepared.
+  // original run's). Throws std::invalid_argument on a kind mismatch.
   SimulationEngine(const EngineConfig& config, Problem problem,
                    const SimCheckpoint& ckpt);
 
-  // One-time expensive setup: tree build at the balancer's initial S, the
-  // priming solve, resilience (watchdog/store/first snapshot) and obs sinks.
-  // Idempotent; a no-op on prepared (eager or restored) engines.
-  void prepare();
-  bool prepared() const { return prepared_; }
+  // Advance exactly one time step and return its record. With resilience
+  // enabled the step is watchdog-guarded, audited on the configured cadence,
+  // and checkpointed / rolled back as needed. run() and the benches are
+  // loops over this.
+  StepRecord step();
 
-  // The resumable seam: prepare() if needed, then advance exactly one time
-  // step and return its record. With resilience enabled the step is
-  // watchdog-guarded, audited on the configured cadence, and checkpointed /
-  // rolled back as needed. Everything else -- run(), the service scheduler,
-  // benches -- is a loop over this.
-  StepRecord step_once();
-
-  // Back-compat spelling of step_once().
-  StepRecord step() { return step_once(); }
-
-  // Run `n` steps, collecting records: a thin loop over step_once().
+  // Run `n` steps, collecting records: a thin loop over step().
   std::vector<StepRecord> run(int n);
-
-  // Cost-model forecast of the NEXT step's seconds, from the operation
-  // counts of the last observed step (what the DRR scheduler charges
-  // quota against). Falls back to the last observed step time before the
-  // model has digested enough observations, and to a nominal constant
-  // before the engine is prepared.
-  double predicted_step_seconds() const;
-
-  // Route observability to caller-owned sinks instead of engine-owned ones,
-  // labeling every track/metric with `tenant` (see obs/step_emitter.hpp).
-  // The sinks must outlive the engine. The service uses this so a session's
-  // trace/metrics survive engine eviction and continue seamlessly after
-  // restore. Must be called before the first step taken on THIS object
-  // (std::logic_error otherwise); `tenant` shares the store-owner charset
-  // ([A-Za-z0-9.-], std::invalid_argument otherwise).
-  void set_external_obs(TraceRecorder* trace, MetricsRegistry* metrics,
-                        std::string tenant = "");
-  const std::string& tenant() const { return tenant_; }
-
-  // Reposition the virtual clock (trace timeline only -- never physics).
-  // The service sets this to the shared machine clock's occupancy slot
-  // before each scheduled step, so concurrent tenants' timelines interleave
-  // on one timeline instead of each starting at zero; it is also how a
-  // restored session resumes its own timeline where eviction cut it.
-  void set_virtual_now(double t) { virtual_now_ = t; }
 
   Problem& problem() { return problem_; }
   const Problem& problem() const { return problem_; }
@@ -250,18 +203,15 @@ class SimulationEngine {
   void corrupt_tree_for_test();
 
  private:
+  // The wiring both public constructors share: validates the config and
+  // connects the list cache. No tree, no solve, no resilience or obs yet.
+  struct Unprimed {};
+  SimulationEngine(Unprimed, const EngineConfig& config, Problem problem);
+
   void initial_solve();
   void init_resilience();
   void init_obs();
-  StepRecord step_guarded();
   StepRecord step_core();
-  // Observability sinks actually in effect: external when attached, else own.
-  TraceRecorder* active_trace() const {
-    return ext_trace_ ? ext_trace_ : trace_.get();
-  }
-  MetricsRegistry* active_metrics() const {
-    return ext_metrics_ ? ext_metrics_ : metrics_.get();
-  }
   void roll_back(StepRecord& rec);
   // Emits the pending step observation (trace events + metric rows) and
   // advances the virtual clock; no-op when observability is off.
@@ -275,14 +225,12 @@ class SimulationEngine {
   AdaptiveOctree tree_;
   std::optional<ObservedStepTimes> last_observed_;
   int step_count_ = 0;
-  bool prepared_ = false;         // prepare() has run (or restore-ctor)
-  bool first_step_done_ = false;  // a step was taken on THIS object
 
   // Resilience state (inert while config_.resilience is disabled).
   StepWatchdog watchdog_;
-  // Holds this engine's auto-assigned filename namespace in the checkpoint
-  // dir when resilience.checkpoint_owner was left empty (satellite of the
-  // shared-dir collision fix; see CheckpointOwnerClaim).
+  // Holds this engine's filename namespace in the checkpoint dir, so
+  // engines sharing a checkpoint_dir never rotate each other's snapshots
+  // (see CheckpointOwnerClaim).
   CheckpointOwnerClaim owner_claim_;
   std::optional<CheckpointStore> store_;
   std::optional<SimCheckpoint> last_good_;
@@ -302,9 +250,6 @@ class SimulationEngine {
   };
   std::unique_ptr<TraceRecorder> trace_;
   std::unique_ptr<MetricsRegistry> metrics_;
-  TraceRecorder* ext_trace_ = nullptr;      // caller-owned, when attached
-  MetricsRegistry* ext_metrics_ = nullptr;  // caller-owned, when attached
-  std::string tenant_;                      // obs label; empty = untagged
   std::optional<PendingObs> pending_obs_;
   double virtual_now_ = 0.0;
 };

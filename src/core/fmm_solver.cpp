@@ -299,7 +299,9 @@ SolveStats make_stats(const AdaptiveOctree& tree,
 template <class Kernel>
 FmmSolver<Kernel>::FmmSolver(const FmmConfig& config, NodeSimulator node,
                              Kernel kernel)
-    : far_(config), node_(std::move(node)), kernel_(std::move(kernel)) {}
+    : far_(config), node_(std::move(node)), kernel_(std::move(kernel)) {
+  config.traversal.validate();
+}
 
 template <class Kernel>
 typename FmmSolver<Kernel>::Fields FmmSolver<Kernel>::solve_fields(

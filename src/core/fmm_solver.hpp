@@ -125,6 +125,7 @@ class FmmSolver {
   }
 
  protected:
+  // Throws std::invalid_argument on an invalid config.traversal.
   FmmSolver(const FmmConfig& config, NodeSimulator node, Kernel kernel);
 
   // Tree-ordered field values of one solve.

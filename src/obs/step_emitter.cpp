@@ -18,14 +18,9 @@ void emit_trace(TraceRecorder& tr, const StepObsInput& in) {
   const double dur = rec.total_seconds();
   const double t_solve = t0 + rec.lb_seconds;
   const double t_end = t0 + dur;
-  // Tenant-prefixed track name ("alice/cpu"); identity when untagged, so a
-  // single-tenant trace is byte-identical to the pre-tenant schema.
-  const auto T = [&in](std::string track) {
-    return in.tenant.empty() ? track : in.tenant + "/" + track;
-  };
 
   // ---- step container -----------------------------------------------------
-  tr.span(kV, T("step"), "step", "step", t0, dur,
+  tr.span(kV, "step", "step", "step", t0, dur,
           {TraceArg::num("step", rec.step), TraceArg::num("S", rec.S),
            TraceArg::str("state", to_string(rec.state)),
            TraceArg::num("compute_seconds", rec.compute_seconds),
@@ -33,29 +28,29 @@ void emit_trace(TraceRecorder& tr, const StepObsInput& in) {
 
   // ---- tree maintenance + balancing ---------------------------------------
   if (in.rebin_seconds > 0.0)
-    tr.span(kV, T("tree"), "rebin", "tree", t0, in.rebin_seconds);
+    tr.span(kV, "tree", "rebin", "tree", t0, in.rebin_seconds);
   const double balance_seconds = rec.lb_seconds - in.rebin_seconds;
   if (balance_seconds > 0.0 || rec.rebuilt || rec.enforce_ops || rec.fgo_ops)
-    tr.span(kV, T("balancer"), rec.rebuilt ? "balance+rebuild" : "balance",
+    tr.span(kV, "balancer", rec.rebuilt ? "balance+rebuild" : "balance",
             "balancer", t0 + in.rebin_seconds, std::max(0.0, balance_seconds),
             {TraceArg::num("enforce_ops", rec.enforce_ops),
              TraceArg::num("fgo_ops", rec.fgo_ops),
              TraceArg::num("rebuilt", rec.rebuilt ? 1 : 0)});
   // One state marker per step so every trace carries the balancer trajectory
   // even when the balancer itself has no recorder attached.
-  tr.instant(kV, T("balancer"), to_string(rec.state), "balancer", t0,
+  tr.instant(kV, "balancer", to_string(rec.state), "balancer", t0,
              {TraceArg::num("S", rec.S),
               TraceArg::num("capability_shift", rec.capability_shift ? 1 : 0)});
   if (rec.rebuilt)
-    tr.instant(kV, T("tree"), "rebuild", "tree", t0 + in.rebin_seconds,
+    tr.instant(kV, "tree", "rebuild", "tree", t0 + in.rebin_seconds,
                {TraceArg::num("S", rec.S),
                 TraceArg::num("nodes", rec.stats.nodes)});
   if (rec.enforce_ops > 0)
-    tr.instant(kV, T("tree"), "enforce_S", "tree", t0 + in.rebin_seconds,
+    tr.instant(kV, "tree", "enforce_S", "tree", t0 + in.rebin_seconds,
                {TraceArg::num("ops", rec.enforce_ops)});
 
   // ---- far field (virtual CPU) --------------------------------------------
-  tr.span(kV, T("cpu"), "far-field", "expansion", t_solve, t.cpu_seconds,
+  tr.span(kV, "cpu", "far-field", "expansion", t_solve, t.cpu_seconds,
           {TraceArg::num("m2l_pairs",
                          static_cast<double>(rec.stats.m2l_pairs)),
            TraceArg::num("cores", rec.effective_cores)});
@@ -72,14 +67,14 @@ void emit_trace(TraceRecorder& tr, const StepObsInput& in) {
   double cursor = t_solve;
   for (const auto& op : ops) {
     if (op.seconds <= 0.0) continue;
-    tr.span(kV, T("cpu ops (thread-seconds)"), op.name, "expansion", cursor,
+    tr.span(kV, "cpu ops (thread-seconds)", op.name, "expansion", cursor,
             op.seconds);
     cursor += op.seconds;
   }
 
   // ---- near field: per-GPU kernels + transfers, or the CPU fallback -------
   if (rec.cpu_fallback) {
-    tr.span(kV, T("cpu"), "P2P (CPU fallback)", "p2p", t_solve + t.cpu_seconds,
+    tr.span(kV, "cpu", "P2P (CPU fallback)", "p2p", t_solve + t.cpu_seconds,
             t.cpu_p2p_seconds,
             {TraceArg::num("interactions",
                            static_cast<double>(rec.stats.p2p_interactions))});
@@ -93,7 +88,7 @@ void emit_trace(TraceRecorder& tr, const StepObsInput& in) {
       if (k.seconds <= 0.0 && k.interactions == 0 &&
           shape.upload_bytes == 0)
         continue;  // dead or unused device: no track
-      const std::string track = T("gpu" + std::to_string(g));
+      const std::string track = "gpu" + std::to_string(g);
       const double upload = transfer_seconds(*in.link, shape.upload_bytes);
       const double kernel_start = t_solve + tl.launch_seconds + upload;
       tr.span(kV, track, "upload", "transfer", t_solve + tl.launch_seconds,
@@ -114,47 +109,47 @@ void emit_trace(TraceRecorder& tr, const StepObsInput& in) {
                              static_cast<double>(shape.download_bytes))});
     }
     if (tl.retries > 0)
-      tr.instant(kV, T("transfer"), "retries", "transfer", t_solve,
+      tr.instant(kV, "transfer", "retries", "transfer", t_solve,
                  {TraceArg::num("count", tl.retries),
                   TraceArg::num("retry_seconds", tl.retry_seconds)});
   }
 
   // ---- faults applied before this solve -----------------------------------
   for (const auto& f : in.faults)
-    tr.instant(kV, T("faults"), to_string(f.kind), "fault", t_solve,
+    tr.instant(kV, "faults", to_string(f.kind), "fault", t_solve,
                {TraceArg::str("what", describe(f)),
                 TraceArg::num("device", f.device),
                 TraceArg::num("step", f.step)});
 
   // ---- resilience (checkpoint / audit / rollback / watchdog) --------------
   if (rec.audited)
-    tr.instant(kV, T("state"), rec.audit_failed ? "audit: FAILED" : "audit: ok",
+    tr.instant(kV, "state", rec.audit_failed ? "audit: FAILED" : "audit: ok",
                "state", t_end, {TraceArg::num("ok", rec.audit_failed ? 0 : 1)});
   if (rec.watchdog_tripped)
-    tr.instant(kV, T("state"), "watchdog-trip", "state", t_end);
+    tr.instant(kV, "state", "watchdog-trip", "state", t_end);
   if (rec.rolled_back)
-    tr.instant(kV, T("state"), "rollback", "state", t_end,
+    tr.instant(kV, "state", "rollback", "state", t_end,
                {TraceArg::num("restored_step", rec.restored_step)});
   if (rec.checkpointed)
-    tr.instant(kV, T("state"), "checkpoint", "state", t_end);
+    tr.instant(kV, "state", "checkpoint", "state", t_end);
 
   // ---- silent-data-corruption ladder (sdc/) -------------------------------
   // Instants only when something happened, so fault-free traces are
   // byte-identical with detection on or off.
   if (rec.sdc_detected > 0)
-    tr.instant(kV, T("state"), "sdc-detect", "sdc", t_end,
+    tr.instant(kV, "state", "sdc-detect", "sdc", t_end,
                {TraceArg::num("count", rec.sdc_detected)});
   if (rec.sdc_repaired > 0)
-    tr.instant(kV, T("state"), "sdc-repair", "sdc", t_end,
+    tr.instant(kV, "state", "sdc-repair", "sdc", t_end,
                {TraceArg::num("count", rec.sdc_repaired)});
   if (rec.sdc_escalated)
-    tr.instant(kV, T("state"), "sdc-escalate", "sdc", t_end,
+    tr.instant(kV, "state", "sdc-escalate", "sdc", t_end,
                {TraceArg::num("unrepaired", rec.sdc_unrepaired)});
 
   // ---- per-step counters (step charts in Perfetto) ------------------------
-  tr.counter(kV, T("counters"), "S", t0, rec.S);
-  tr.counter(kV, T("counters"), "compute_seconds", t0, rec.compute_seconds);
-  tr.counter(kV, T("counters"), "alive_gpus", t0, rec.alive_gpus);
+  tr.counter(kV, "counters", "S", t0, rec.S);
+  tr.counter(kV, "counters", "compute_seconds", t0, rec.compute_seconds);
+  tr.counter(kV, "counters", "alive_gpus", t0, rec.alive_gpus);
 
   // ---- real wall-clock per-op measurements (separate time domain) ---------
   if (in.wall_ops) {
@@ -162,7 +157,7 @@ void emit_trace(TraceRecorder& tr, const StepObsInput& in) {
     for (int op = 0; op < static_cast<int>(FmmOp::kCount); ++op) {
       const auto totals = in.wall_ops->totals(static_cast<FmmOp>(op));
       if (totals.count == 0) continue;
-      tr.span(kW, T("cpu ops (wall)"), to_string(static_cast<FmmOp>(op)),
+      tr.span(kW, "cpu ops (wall)", to_string(static_cast<FmmOp>(op)),
               "expansion-wall", wall_cursor, totals.seconds,
               {TraceArg::num("count", static_cast<double>(totals.count)),
                TraceArg::num("coefficient", totals.coefficient())});
@@ -171,24 +166,7 @@ void emit_trace(TraceRecorder& tr, const StepObsInput& in) {
   }
 }
 
-// Registry facade applying the tenant name prefix ("tenant.alice.lb.S")
-// once, so the emission body below reads in the canonical metric names.
-struct TenantMetrics {
-  MetricsRegistry& reg;
-  const std::string& tenant;
-  std::string name(const char* n) const {
-    return tenant.empty() ? std::string(n) : "tenant." + tenant + "." + n;
-  }
-  void set_gauge(const char* n, double v) { reg.set_gauge(name(n), v); }
-  void add_counter(const char* n, double d) { reg.add_counter(name(n), d); }
-  void observe(const char* n, double v) { reg.observe(name(n), v); }
-  void define_histogram(const char* n, std::vector<double> bounds) {
-    reg.define_histogram(name(n), std::move(bounds));
-  }
-};
-
-void emit_metrics(MetricsRegistry& mr, const StepObsInput& in) {
-  TenantMetrics m{mr, in.tenant};
+void emit_metrics(MetricsRegistry& m, const StepObsInput& in) {
   const StepRecord& rec = *in.rec;
   m.set_gauge("step.total_seconds", rec.total_seconds());
   m.set_gauge("step.compute_seconds", rec.compute_seconds);
@@ -234,14 +212,12 @@ void emit_metrics(MetricsRegistry& mr, const StepObsInput& in) {
                 rec.sdc_escalated && rec.rolled_back ? 1.0 : 0.0);
   m.observe("step.compute_seconds.hist", rec.compute_seconds);
   m.observe("step.lb_seconds.hist", rec.lb_seconds);
-  mr.sample(rec.step);
+  m.sample(rec.step);
 }
 
 }  // namespace
 
-void register_step_metrics(MetricsRegistry& metrics,
-                           const std::string& tenant) {
-  TenantMetrics m{metrics, tenant};
+void register_step_metrics(MetricsRegistry& m) {
   m.define_histogram(
       "step.compute_seconds.hist",
       {1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0, 3.0, 10.0});

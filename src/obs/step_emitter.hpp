@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -36,12 +35,6 @@ struct StepObsInput {
   std::uint64_t cache_builds = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_refreshes = 0;
-  // Tenant label dimension: when non-empty, every trace track is prefixed
-  // "<tenant>/" and every metric name "tenant.<tenant>.", so several
-  // sessions can share one TraceRecorder / MetricsRegistry and still roll
-  // up per tenant. Empty (the default) emits the exact legacy names --
-  // single-tenant output is byte-identical with this feature present.
-  std::string tenant;
 };
 
 // Emit the step into either sink; null sinks are skipped. Returns the
@@ -51,10 +44,7 @@ double emit_step(TraceRecorder* trace, MetricsRegistry* metrics,
                  const StepObsInput& in);
 
 // Registers the fixed histogram buckets the step emitter observes into.
-// Idempotent; called once by the simulation when metrics are enabled. A
-// non-empty `tenant` registers the tenant-prefixed names the emitter will
-// use for that session's rows.
-void register_step_metrics(MetricsRegistry& metrics,
-                           const std::string& tenant = "");
+// Idempotent; called once by the simulation when metrics are enabled.
+void register_step_metrics(MetricsRegistry& metrics);
 
 }  // namespace afmm

@@ -2,9 +2,29 @@
 
 #include <array>
 #include <cmath>
+#include <cstdio>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace afmm {
+
+void TraversalConfig::validate() const {
+  if (!(std::isfinite(theta) && theta > 0.0 && theta < 1.0)) {
+    char msg[96];
+    std::snprintf(msg, sizeof(msg),
+                  "TraversalConfig: theta must be finite and in (0, 1), got %g",
+                  theta);
+    throw std::invalid_argument(msg);
+  }
+  const auto non_negative = [](const char* field, int v) {
+    if (v < 0)
+      throw std::invalid_argument(std::string("TraversalConfig: ") + field +
+                                  " must be >= 0, got " + std::to_string(v));
+  };
+  non_negative("m2p_target_max", m2p_target_max);
+  non_negative("p2l_source_max", p2l_source_max);
+}
 
 namespace {
 constexpr double kSqrt3 = 1.7320508075688772;

@@ -41,6 +41,11 @@ struct TraversalConfig {
   // force the serial reference walk.
   bool parallel = true;
 
+  // Throws std::invalid_argument naming the field and the value when theta
+  // is not finite or not in (0, 1) (theta = 0 would divide by zero in the
+  // acceptance test), or a leaf-size threshold is negative.
+  void validate() const;
+
   // True when `o` produces the same lists on the same structure; the
   // `parallel` flag does not affect the output and is ignored.
   bool same_lists_as(const TraversalConfig& o) const {

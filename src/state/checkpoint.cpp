@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -533,15 +534,6 @@ std::optional<SimCheckpoint> load_checkpoint_file(const std::string& path,
   return decode_checkpoint(bytes, error);
 }
 
-bool valid_store_owner(const std::string& owner) {
-  for (char c : owner) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '-';
-    if (!ok) return false;
-  }
-  return true;
-}
-
 namespace {
 
 // True iff `name` is EXACTLY `[<owner>_]ckpt_<10 digits>.afmm`. Unlike a
@@ -559,6 +551,15 @@ bool is_owned_snapshot(const std::string& name, const std::string& owner) {
   for (std::size_t i = prefix.size(); i < prefix.size() + kDigits; ++i)
     if (name[i] < '0' || name[i] > '9') return false;
   return name.compare(prefix.size() + kDigits, suffix.size(), suffix) == 0;
+}
+
+bool valid_store_owner(const std::string& owner) {
+  for (char c : owner) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '.' || c == '-';
+    if (!ok) return false;
+  }
+  return true;
 }
 
 void require_valid_owner(const std::string& owner) {
@@ -616,7 +617,10 @@ void CheckpointOwnerClaim::release() {
 }
 
 CheckpointStore::CheckpointStore(std::string dir, int keep, std::string owner)
-    : dir_(std::move(dir)), keep_(std::max(1, keep)), owner_(std::move(owner)) {
+    : dir_(std::move(dir)), keep_(keep), owner_(std::move(owner)) {
+  if (keep_ < 1)
+    throw std::invalid_argument("CheckpointStore: keep must be >= 1, got " +
+                                std::to_string(keep_));
   require_valid_owner(owner_);
   std::error_code ec;
   fs::create_directories(dir_, ec);
@@ -660,6 +664,44 @@ std::optional<SimCheckpoint> CheckpointStore::load_latest(
   }
   set_error(error, last_error);
   return std::nullopt;
+}
+
+namespace {
+
+[[noreturn]] void reject_resilience(const char* field, const char* rule,
+                                    double value) {
+  char msg[160];
+  std::snprintf(msg, sizeof(msg), "ResilienceConfig: %s must be %s, got %g",
+                field, rule, value);
+  throw std::invalid_argument(msg);
+}
+
+}  // namespace
+
+void ResilienceConfig::validate() const {
+  const auto at_least = [](const char* field, double v, double lo,
+                           const char* rule) {
+    if (!(v >= lo)) reject_resilience(field, rule, v);
+  };
+  const auto finite_non_negative = [](const char* field, double v) {
+    if (!(std::isfinite(v) && v >= 0.0))
+      reject_resilience(field, "finite and >= 0", v);
+  };
+  const auto finite_positive = [](const char* field, double v) {
+    if (!(std::isfinite(v) && v > 0.0))
+      reject_resilience(field, "finite and > 0", v);
+  };
+  at_least("checkpoint_interval", checkpoint_interval, 0, ">= 0");
+  at_least("checkpoint_keep", checkpoint_keep, 1, ">= 1");
+  at_least("audit.interval", audit.interval, 0, ">= 0");
+  at_least("audit.force_samples", audit.force_samples, 0, ">= 0");
+  finite_positive("audit.force_rel_tol", audit.force_rel_tol);
+  finite_positive("audit.leaf_capacity_slack", audit.leaf_capacity_slack);
+  finite_non_negative("audit.momentum_rel_tol", audit.momentum_rel_tol);
+  finite_non_negative("watchdog.wall_limit_seconds",
+                      watchdog.wall_limit_seconds);
+  finite_non_negative("watchdog.virtual_limit_seconds",
+                      watchdog.virtual_limit_seconds);
 }
 
 }  // namespace afmm

@@ -97,22 +97,21 @@ bool save_checkpoint_file(const std::string& path, const SimCheckpoint& ckpt,
 std::optional<SimCheckpoint> load_checkpoint_file(const std::string& path,
                                                   std::string* error = nullptr);
 
-// Owner prefixes namespace several stores inside ONE directory. A store with
-// an empty owner uses the legacy `ckpt_<step>.afmm` names; a store with owner
-// "alice" reads and writes `alice_ckpt_<step>.afmm` only. Rotation, listing
-// and load_latest() are all scoped to the store's exact owner pattern, so two
-// stores sharing a directory can never delete or adopt each other's
-// snapshots (the multi-tenant service keeps one store per session in one
-// shared directory this way). Owners are restricted to [A-Za-z0-9.-] --
-// in particular no '_' -- so an owner-prefixed name can never parse as a
-// different owner's (or the bare) pattern; an invalid owner throws
-// std::invalid_argument at construction.
-bool valid_store_owner(const std::string& owner);
-
 // Rotating on-disk snapshot store: `dir/[<owner>_]ckpt_<step>.afmm`, newest
 // `keep` files retained. load_latest() walks newest-first and silently skips
 // any snapshot that fails validation -- a crash mid-write therefore costs at
 // most one checkpoint interval of progress, never the run.
+//
+// Owner prefixes namespace several stores inside ONE directory. A store with
+// an empty owner uses the bare `ckpt_<step>.afmm` names; a store with owner
+// "e1" reads and writes `e1_ckpt_<step>.afmm` only. Rotation, listing and
+// load_latest() are all scoped to the store's exact owner pattern, so two
+// stores sharing a directory can never delete or adopt each other's
+// snapshots (CheckpointOwnerClaim gives each engine on a shared directory
+// its own owner this way). Owners are restricted to [A-Za-z0-9.-] -- in
+// particular no '_' -- so an owner-prefixed name can never parse as a
+// different owner's (or the bare) pattern. Throws std::invalid_argument
+// when keep < 1 or the owner is invalid.
 class CheckpointStore {
  public:
   explicit CheckpointStore(std::string dir, int keep = 3,
@@ -181,12 +180,7 @@ class CheckpointOwnerClaim {
 struct ResilienceConfig {
   int checkpoint_interval = 0;  // steps between snapshots; 0 = no snapshots
   std::string checkpoint_dir;   // empty = in-memory rollback only
-  int checkpoint_keep = 3;      // on-disk snapshots retained
-  // Filename namespace inside checkpoint_dir ([A-Za-z0-9.-], no '_').
-  // Empty = auto: the first engine on a dir in this process gets the legacy
-  // bare `ckpt_*.afmm` names, concurrent later ones get "e1", "e2", ...
-  // (see CheckpointOwnerClaim). The service sets this to the session id.
-  std::string checkpoint_owner;
+  int checkpoint_keep = 3;      // on-disk snapshots retained (>= 1)
   AuditConfig audit;            // audit.interval 0 = no audits
   WatchdogConfig watchdog;
   // React to a failed audit / tripped watchdog by restoring the last good
@@ -203,6 +197,11 @@ struct ResilienceConfig {
   bool enabled() const {
     return checkpoint_interval > 0 || audit.interval > 0 || watchdog.enabled();
   }
+  // Throws std::invalid_argument naming the field and the value when a
+  // count or cadence is negative, checkpoint_keep < 1, a tolerance or
+  // slack is not finite or not > 0, or the momentum tolerance or a
+  // watchdog limit is not finite or < 0.
+  void validate() const;
 };
 
 }  // namespace afmm

@@ -346,7 +346,7 @@ TEST(Checkpoint, StokesRestoredRunIsBitIdentical) {
   }
 }
 
-// ---- owner-namespaced stores (multi-tenant service) ------------------------
+// ---- owner-namespaced stores (engines sharing one directory) --------------
 
 TEST(CheckpointStore, OwnerPrefixesFilenames) {
   const std::string dir = fresh_dir("ckpt_owner_prefix");
@@ -416,6 +416,13 @@ TEST(CheckpointStore, InvalidOwnerRejected) {
   EXPECT_THROW(CheckpointStore(dir, 2, "bad_owner"), std::invalid_argument);
   EXPECT_THROW(CheckpointStore(dir, 2, "has space"), std::invalid_argument);
   EXPECT_NO_THROW(CheckpointStore(dir, 2, "A-9.x"));
+}
+
+TEST(CheckpointStore, RejectsKeepBelowOne) {
+  const std::string dir = fresh_dir("ckpt_bad_keep");
+  EXPECT_THROW(CheckpointStore(dir, 0), std::invalid_argument);
+  EXPECT_THROW(CheckpointStore(dir, -2), std::invalid_argument);
+  EXPECT_NO_THROW(CheckpointStore(dir, 1));
 }
 
 TEST(CheckpointStore, OwnerClaimAssignsDistinctNamespaces) {

@@ -135,6 +135,85 @@ TEST(Engine, RejectsNonPositiveOrNonFiniteDt) {
   }
 }
 
+TEST(Engine, RejectsInvalidResilienceConfig) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Row {
+    const char* field;
+    void (*set)(ResilienceConfig&, double);
+    double value;
+  };
+  const auto interval = [](ResilienceConfig& r, double v) {
+    r.checkpoint_interval = static_cast<int>(v);
+  };
+  const auto keep = [](ResilienceConfig& r, double v) {
+    r.checkpoint_keep = static_cast<int>(v);
+  };
+  const auto audit_interval = [](ResilienceConfig& r, double v) {
+    r.audit.interval = static_cast<int>(v);
+  };
+  const auto samples = [](ResilienceConfig& r, double v) {
+    r.audit.force_samples = static_cast<int>(v);
+  };
+  const auto force_tol = [](ResilienceConfig& r, double v) {
+    r.audit.force_rel_tol = v;
+  };
+  const auto slack = [](ResilienceConfig& r, double v) {
+    r.audit.leaf_capacity_slack = v;
+  };
+  const auto momentum = [](ResilienceConfig& r, double v) {
+    r.audit.momentum_rel_tol = v;
+  };
+  const auto wall = [](ResilienceConfig& r, double v) {
+    r.watchdog.wall_limit_seconds = v;
+  };
+  const auto virt = [](ResilienceConfig& r, double v) {
+    r.watchdog.virtual_limit_seconds = v;
+  };
+  const Row bad[] = {
+      {"checkpoint_interval", interval, -1},
+      {"checkpoint_keep", keep, 0},
+      {"audit.interval", audit_interval, -1},
+      {"audit.force_samples", samples, -1},
+      {"audit.force_rel_tol", force_tol, nan},
+      {"audit.force_rel_tol", force_tol, 0},
+      {"audit.leaf_capacity_slack", slack, inf},
+      {"audit.leaf_capacity_slack", slack, -1},
+      {"audit.momentum_rel_tol", momentum, nan},
+      {"audit.momentum_rel_tol", momentum, -1},
+      {"watchdog.wall_limit_seconds", wall, -1},
+      {"watchdog.wall_limit_seconds", wall, inf},
+      {"watchdog.virtual_limit_seconds", virt, nan},
+  };
+  for (const Row& row : bad) {
+    auto cfg = stokes_config();
+    row.set(cfg.resilience, row.value);
+    try {
+      stokes_sim(cfg);
+      ADD_FAILURE() << row.field << " = " << row.value << ": no throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(row.field), std::string::npos)
+          << e.what();
+    }
+  }
+  // Each field at its boundary is accepted.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const Row boundary[] = {
+      {"checkpoint_interval", interval, 0}, {"checkpoint_keep", keep, 1},
+      {"audit.interval", audit_interval, 0}, {"audit.force_samples", samples, 0},
+      {"audit.force_rel_tol", force_tol, tiny},
+      {"audit.leaf_capacity_slack", slack, tiny},
+      {"audit.momentum_rel_tol", momentum, 0},
+      {"watchdog.wall_limit_seconds", wall, 0},
+      {"watchdog.virtual_limit_seconds", virt, 0},
+  };
+  for (const Row& row : boundary) {
+    auto cfg = stokes_config();
+    row.set(cfg.resilience, row.value);
+    EXPECT_NO_THROW(cfg.resilience.validate()) << row.field;
+  }
+}
+
 TEST(Engine, StokesAuditFailureRollsBackAndReSearches) {
   auto cfg = stokes_config();
   cfg.resilience.checkpoint_interval = 4;
@@ -253,139 +332,6 @@ TEST(Engine, StokesObservabilityIsReadOnlyAndDeterministic) {
   }
   EXPECT_EQ(obs_a.virtual_now(), obs_b.virtual_now());
   EXPECT_GT(obs_a.virtual_now(), 0.0);
-}
-
-TEST(Engine, DeferredPrepareIsBitIdenticalToEager) {
-  // The resumable seam: a deferred engine that is then stepped must produce
-  // the eager constructor's trajectory bit for bit, and prepare() must be
-  // idempotent.
-  constexpr int kSteps = 6;
-  SimulationConfig cfg;
-  cfg.fmm.order = 3;
-  cfg.tree.root_center = {0, 0, 0};
-  cfg.tree.root_half = 16.0;
-  cfg.balancer.initial_S = 16;
-  cfg.dt = 1e-3;
-  Rng rng(17);
-  const auto set = plummer(200, rng);
-  NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
-
-  SimulationEngine<GravityProblem> eager(
-      cfg, GravityProblem(cfg.fmm, 1.0, 1e-2, node, set));
-  EXPECT_TRUE(eager.prepared());
-  const auto ref = eager.run(kSteps);
-
-  SimulationEngine<GravityProblem> lazy(
-      DeferredInit{}, cfg, GravityProblem(cfg.fmm, 1.0, 1e-2, node, set));
-  EXPECT_FALSE(lazy.prepared());
-  lazy.prepare();
-  EXPECT_TRUE(lazy.prepared());
-  lazy.prepare();  // idempotent
-  std::vector<StepRecord> got;
-  for (int i = 0; i < kSteps; ++i) got.push_back(lazy.step_once());
-
-  for (int i = 0; i < kSteps; ++i) {
-    EXPECT_EQ(ref[i].step, got[i].step);
-    EXPECT_EQ(ref[i].compute_seconds, got[i].compute_seconds);
-    EXPECT_EQ(ref[i].lb_seconds, got[i].lb_seconds);
-    EXPECT_EQ(ref[i].S, got[i].S);
-    EXPECT_EQ(ref[i].state, got[i].state);
-    EXPECT_EQ(ref[i].predicted_far_seconds, got[i].predicted_far_seconds);
-  }
-  const auto& pa = eager.problem().bodies().positions;
-  const auto& pb = lazy.problem().bodies().positions;
-  ASSERT_EQ(pa.size(), pb.size());
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_EQ(pa[i].x, pb[i].x);
-    EXPECT_EQ(pa[i].y, pb[i].y);
-    EXPECT_EQ(pa[i].z, pb[i].z);
-  }
-}
-
-TEST(Engine, PredictedStepSecondsTracksCostModel) {
-  SimulationConfig cfg;
-  cfg.fmm.order = 3;
-  cfg.tree.root_center = {0, 0, 0};
-  cfg.tree.root_half = 16.0;
-  cfg.balancer.initial_S = 16;
-  Rng rng(18);
-  NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
-  SimulationEngine<GravityProblem> eng(
-      DeferredInit{}, cfg, GravityProblem(cfg.fmm, 1.0, 1e-2, node,
-                                          plummer(200, rng)));
-  // Nominal before prepare, then positive and deterministic.
-  EXPECT_GT(eng.predicted_step_seconds(), 0.0);
-  eng.run(4);
-  const double f1 = eng.predicted_step_seconds();
-  const double f2 = eng.predicted_step_seconds();
-  EXPECT_GT(f1, 0.0);
-  EXPECT_EQ(f1, f2);  // pure forecast: no state advanced
-}
-
-TEST(Engine, ExternalObsMatchesOwnSinksByteForByte) {
-  // Routing obs to caller-owned sinks (what the service does) must emit the
-  // exact bytes the engine-owned sinks would have: same trace JSON, same
-  // metric rows, same trajectory.
-  constexpr int kSteps = 6;
-  auto own_cfg = stokes_config();
-  own_cfg.obs.trace = true;
-  own_cfg.obs.metrics = true;
-  auto own = stokes_sim(own_cfg);
-  own.run(kSteps);
-
-  auto ext_cfg = stokes_config();  // obs off in config; sinks attached below
-  Rng rng(93);
-  auto pos = blob(rng, 500, {0, 0, 3}, 1.0);
-  NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
-  SimulationEngine<StokesProblem> ext(
-      DeferredInit{}, ext_cfg,
-      StokesProblem(ext_cfg.fmm, ext_cfg.epsilon, ext_cfg.viscosity, node,
-                    pos, constant_force({0, 0, -1})));
-  TraceRecorder trace;
-  MetricsRegistry metrics;
-  ext.set_external_obs(&trace, &metrics);
-  for (int i = 0; i < kSteps; ++i) ext.step_once();
-
-  ASSERT_NE(own.trace(), nullptr);
-  EXPECT_EQ(own.trace()->to_json(), trace.to_json());
-  const auto& rows_a = own.metrics()->rows();
-  const auto& rows_b = metrics.rows();
-  ASSERT_EQ(rows_a.size(), rows_b.size());
-  for (std::size_t i = 0; i < rows_a.size(); ++i) {
-    EXPECT_EQ(rows_a[i].metric, rows_b[i].metric);
-    EXPECT_EQ(rows_a[i].value, rows_b[i].value);
-  }
-}
-
-TEST(Engine, TenantLabelPrefixesTracksAndMetrics) {
-  auto cfg = stokes_config();
-  auto sim_engine = [&cfg]() {
-    Rng rng(93);
-    auto pos = blob(rng, 300, {0, 0, 3}, 1.0);
-    NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
-    return SimulationEngine<StokesProblem>(
-        DeferredInit{}, cfg,
-        StokesProblem(cfg.fmm, cfg.epsilon, cfg.viscosity, node, pos,
-                      constant_force({0, 0, -1})));
-  };
-  auto eng = sim_engine();
-  TraceRecorder trace;
-  MetricsRegistry metrics;
-  eng.set_external_obs(&trace, &metrics, "t1");
-  eng.step_once();
-  EXPECT_EQ(eng.tenant(), "t1");
-  const std::string json = trace.to_json();
-  EXPECT_NE(json.find("t1/step"), std::string::npos);
-  EXPECT_NE(json.find("t1/tree"), std::string::npos);
-  for (const auto& row : metrics.rows())
-    EXPECT_EQ(row.metric.rfind("tenant.t1.", 0), 0u) << row.metric;
-
-  // Attachment is first-step-only, and tenant shares the owner charset.
-  EXPECT_THROW(eng.set_external_obs(&trace, &metrics, "t1"),
-               std::logic_error);
-  auto eng2 = sim_engine();
-  EXPECT_THROW(eng2.set_external_obs(&trace, &metrics, "bad tenant"),
-               std::invalid_argument);
 }
 
 TEST(Engine, StepRecordParityAcrossProblems) {

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "balance/load_balancer.hpp"
+#include "core/fmm_solver.hpp"
+#include "machine/machine.hpp"
 #include "octree/octree.hpp"
 #include "octree/traversal.hpp"
 #include "util/rng.hpp"
@@ -291,6 +297,66 @@ TEST(Traversal, OpCountsConsistent) {
   EXPECT_EQ(c.m2l, lists.total_m2l_pairs);
   EXPECT_EQ(c.m2m, c.l2l);
   EXPECT_EQ(c.p2p_interactions, lists.total_p2p_interactions);
+}
+
+// Both places a TraversalConfig enters -- the solver and the balancer --
+// reject a theta outside (0, 1) (theta = 0 would divide by zero in the
+// acceptance test and silently make every pair P2P) and negative M2P/P2L
+// thresholds, naming the field.
+TEST(Traversal, RejectsInvalidTraversalConfig) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Row {
+    const char* field;
+    double theta;
+    int m2p_target_max;
+    int p2l_source_max;
+  };
+  const Row bad[] = {
+      {"theta", 0.0, 4, 4},  {"theta", 1.0, 4, 4},
+      {"theta", -0.5, 4, 4}, {"theta", 1.5, 4, 4},
+      {"theta", nan, 4, 4},  {"m2p_target_max", 0.55, -1, 4},
+      {"p2l_source_max", 0.55, 4, -1},
+  };
+  const auto with = [](const Row& row) {
+    TraversalConfig t;
+    t.theta = row.theta;
+    t.m2p_target_max = row.m2p_target_max;
+    t.p2l_source_max = row.p2l_source_max;
+    return t;
+  };
+  const auto solver = [](const TraversalConfig& t) {
+    FmmConfig cfg;
+    cfg.traversal = t;
+    GravitySolver s(cfg, NodeSimulator(CpuModelConfig{},
+                                       GpuSystemConfig::uniform(1)));
+  };
+  const auto balancer = [](const TraversalConfig& t) {
+    LoadBalancer lb(LoadBalancerConfig{}, t);
+  };
+  const auto expect_rejected = [](const Row& row, auto construct) {
+    try {
+      construct();
+      ADD_FAILURE() << row.field << ": no throw (theta " << row.theta << ")";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(row.field), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const Row& row : bad) {
+    expect_rejected(row, [&] { solver(with(row)); });
+    expect_rejected(row, [&] { balancer(with(row)); });
+  }
+  // Each field at its boundary is accepted.
+  const Row boundary[] = {
+      {"theta", std::nextafter(0.0, 1.0), 4, 4},
+      {"theta", std::nextafter(1.0, 0.0), 4, 4},
+      {"m2p_target_max", 0.55, 0, 4},
+      {"p2l_source_max", 0.55, 4, 0},
+  };
+  for (const Row& row : boundary) {
+    EXPECT_NO_THROW(solver(with(row))) << row.field;
+    EXPECT_NO_THROW(balancer(with(row))) << row.field;
+  }
 }
 
 }  // namespace

@@ -28,16 +28,6 @@ step numbers may decrease between groups and a step may be sampled more
 than once; each contiguous group must still be internally consistent (no
 duplicate metric within a group, identical metric set across groups).
 
-With --service the trace must come from the multi-tenant SimulationService
-(bench/service_throughput): a "service" track with cat="service" lifecycle
-instants including at least one admit, evict AND restore, plus tenant-
-prefixed "<name>/..." tracks from at least two tenants. The metrics CSV is
-the MERGED export (service.* aggregate rows sampled per round, then each
-tenant's "tenant.<name>.*" rows sampled per engine step), so metric-set
-consistency is enforced per stream rather than globally, step numbering may
-restart between streams, and the service.*_total counters must be present
-and non-decreasing.
-
 Exit 0 on success; nonzero with a message on the first violation. Stdlib
 only, so it runs anywhere CI has a python3.
 
@@ -64,31 +54,6 @@ SDC_METRICS = (
     "sdc.repairs_total",
     "sdc.rollbacks_total",
 )
-# Counters the service registers up front (service/service.cpp); every one
-# must appear in a --service run's aggregate stream and never decrease.
-SERVICE_COUNTERS = (
-    "service.admitted_total",
-    "service.departed_total",
-    "service.steps_total",
-    "service.rounds_total",
-    "service.evictions_total",
-    "service.restores_total",
-    "service.quota_violations_total",
-)
-
-
-def stream_of(metric: str) -> str:
-    """Which merged-export stream a metric row belongs to.
-
-    "service.*" rows form the aggregate per-round stream; "tenant.<x>.*"
-    rows form one stream per tenant; anything else is the legacy single-
-    engine stream (named "").
-    """
-    if metric.startswith("service."):
-        return "service"
-    if metric.startswith("tenant."):
-        return "tenant." + metric.split(".", 2)[1]
-    return ""
 
 
 def fail(msg: str) -> None:
@@ -96,19 +61,13 @@ def fail(msg: str) -> None:
     sys.exit(1)
 
 
-def check_metrics(path: str, min_steps: int, sdc: bool = False,
-                  service: bool = False) -> None:
+def check_metrics(path: str, min_steps: int, sdc: bool = False) -> None:
     """Validate a MetricsRegistry CSV export (obs/metrics.hpp).
 
     With sdc a step REWIND between groups is legal (escalation restores an
     older checkpoint and replays), so the same step may appear in more than
     one contiguous group; the sdc.* instrument set must also be present.
-    With service the file is the
-    MERGED multi-tenant export: each stream (service.* aggregates, one per
-    tenant) restarts its step numbering and carries its own instrument set,
-    so grouping and set comparison are per stream.
     """
-    allow_rewind = sdc or service
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.read().splitlines()
@@ -121,8 +80,7 @@ def check_metrics(path: str, min_steps: int, sdc: bool = False,
     if len(lines) < 2:
         fail(f"{path}: no metric rows")
 
-    groups = []     # contiguous (step, set-of-metric-names, stream) runs
-    counter_last = {}  # service counter -> last value seen (monotonicity)
+    groups = []     # contiguous (step, set-of-metric-names) runs
     prev_step = None
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
@@ -135,10 +93,10 @@ def check_metrics(path: str, min_steps: int, sdc: bool = False,
             fail(f"{path}:{lineno}: non-integer step {raw_step!r}")
         if step < 0:
             fail(f"{path}:{lineno}: negative step {step}")
-        if prev_step is not None and step < prev_step and not allow_rewind:
+        if prev_step is not None and step < prev_step and not sdc:
             fail(f"{path}:{lineno}: step {step} after step {prev_step} "
                  "(rows must be grouped by non-decreasing step; pass "
-                 "--sdc or --service for restarts)")
+                 "--sdc for restarts)")
         if not metric:
             fail(f"{path}:{lineno}: empty metric name")
         try:
@@ -147,71 +105,45 @@ def check_metrics(path: str, min_steps: int, sdc: bool = False,
             fail(f"{path}:{lineno}: non-numeric value {raw_value!r}")
         if not math.isfinite(value):
             fail(f"{path}:{lineno}: non-finite value {raw_value!r}")
-        stream = stream_of(metric) if service else ""
-        if step != prev_step or (groups and stream != groups[-1][2]):
-            groups.append((step, set(), stream))
+        if step != prev_step:
+            groups.append((step, set()))
             prev_step = step
         elif metric in groups[-1][1]:
             # Same step, metric seen again: a replayed group after a
             # recovery rewound the step counter to exactly where it was.
-            if not allow_rewind:
+            if not sdc:
                 fail(f"{path}:{lineno}: duplicate metric {metric!r} "
                      f"for step {step}")
-            groups.append((step, set(), stream))
+            groups.append((step, set()))
         names = groups[-1][1]
         if metric in names:
             fail(f"{path}:{lineno}: duplicate metric {metric!r} "
                  f"for step {step}")
         names.add(metric)
-        if service and metric in SERVICE_COUNTERS:
-            if metric in counter_last and value < counter_last[metric]:
-                fail(f"{path}:{lineno}: counter {metric} decreased "
-                     f"({counter_last[metric]} -> {value})")
-            counter_last[metric] = value
 
     # Every sampled group carries the same metric set: a partial group means
     # the export was truncated or the emitter skipped a sink. (In sdc mode
     # a step can legally appear in two groups -- once before a rollback,
-    # once replayed -- so groups, not steps, are compared. In service mode
-    # each stream has its own instrument set, so comparison is per stream.)
-    reference_by_stream = {}
-    for step, names, stream in groups:
-        reference = reference_by_stream.setdefault(stream, names)
+    # once replayed -- so groups, not steps, are compared.)
+    reference = groups[0][1]
+    for step, names in groups:
         diff = names ^ reference
         if diff:
-            what = f"stream {stream!r} step {step}" if service else \
-                f"step {step}"
-            fail(f"{path}: {what} metric set differs on: "
+            fail(f"{path}: step {step} metric set differs on: "
                  f"{', '.join(sorted(diff))}")
-    reference = reference_by_stream.get("") or next(
-        iter(reference_by_stream.values()))
 
     if sdc:
         missing = [m for m in SDC_METRICS if m not in reference]
         if missing:
             fail(f"{path}: sdc run missing metrics: {', '.join(missing)}")
 
-    if service:
-        aggregate = reference_by_stream.get("service", set())
-        missing = [m for m in SERVICE_COUNTERS if m not in aggregate]
-        if missing:
-            fail(f"{path}: service run missing aggregate counters: "
-                 f"{', '.join(missing)}")
-        tenants = [s for s in reference_by_stream if s.startswith("tenant.")]
-        if len(tenants) < 2:
-            fail(f"{path}: service run has {len(tenants)} tenant metric "
-                 "streams (want >= 2)")
-
-    distinct = len({step for step, _, _ in groups})
+    distinct = len({step for step, _ in groups})
     if distinct < min_steps:
         fail(f"{path}: only {distinct} steps sampled "
              f"(--min-metric-steps {min_steps})")
 
     rewinds = len(groups) - distinct
     suffix = f" ({rewinds} recovery rewind groups)" if rewinds else ""
-    if service:
-        suffix = (f" across {len(reference_by_stream)} streams "
-                  f"({len(reference_by_stream) - 1} tenants)")
     print(f"validate_trace: OK: {len(lines) - 1} metric rows over "
           f"{distinct} steps, {len(reference)} metrics per step{suffix}")
 
@@ -241,14 +173,6 @@ def main() -> None:
         "(catches truncated exports; default 1)",
     )
     ap.add_argument(
-        "--service",
-        action="store_true",
-        help="validate a multi-tenant service run: require cat='service' "
-        "admit/evict/restore instants on a 'service' track, tenant-prefixed "
-        "'<name>/...' tracks from >= 2 tenants, and validate the merged "
-        "metrics CSV per stream with monotone service.*_total counters",
-    )
-    ap.add_argument(
         "--sdc",
         action="store_true",
         help="validate a silent-data-corruption run: require cat='sdc' "
@@ -272,11 +196,9 @@ def main() -> None:
 
     named_tracks = set()   # (pid, tid) with a thread_name metadata event
     named_pids = set()     # pid with a process_name metadata event
-    track_names = set()    # thread_name metadata args.name values
     used_tracks = set()
     categories = {}
     sdc_first_ts = {}      # sdc instant name -> earliest ts
-    service_instants = {}  # cat='service' instant name -> count
     first_rollback_ts = None
     for i, e in enumerate(events):
         where = f"event {i} ({e.get('name', '?')!r})"
@@ -293,9 +215,6 @@ def main() -> None:
                 named_pids.add(e["pid"])
             elif e["name"] == "thread_name":
                 named_tracks.add((e["pid"], e["tid"]))
-                name = e.get("args", {}).get("name")
-                if isinstance(name, str):
-                    track_names.add(name)
             continue
         ts = e.get("ts")
         if not isinstance(ts, (int, float)) or not math.isfinite(ts) or ts < 0:
@@ -314,9 +233,6 @@ def main() -> None:
             prev = sdc_first_ts.get(e["name"])
             if prev is None or ts < prev:
                 sdc_first_ts[e["name"]] = ts
-        elif cat == "service" and ph == "i":
-            service_instants[e["name"]] = service_instants.get(e["name"],
-                                                               0) + 1
         elif e["name"] == "rollback" and ph == "i":
             if first_rollback_ts is None or ts < first_rollback_ts:
                 first_rollback_ts = ts
@@ -333,22 +249,6 @@ def main() -> None:
     if missing:
         fail(f"missing required categories: {', '.join(missing)} "
              f"(present: {', '.join(sorted(categories))})")
-
-    if args.service:
-        if "service" not in track_names:
-            fail("service run has no 'service' track "
-                 f"(present: {', '.join(sorted(track_names))})")
-        for what in ("admit", "evict", "restore"):
-            if service_instants.get(what, 0) < 1:
-                fail(f"service run has no '{what}' lifecycle instant "
-                     f"(present: {', '.join(sorted(service_instants))})")
-        tenants = {t.split("/", 1)[0] for t in track_names if "/" in t}
-        if len(tenants) < 2:
-            fail(f"service run has {len(tenants)} tenant track prefixes "
-                 f"(want >= 2; tracks: {', '.join(sorted(track_names))})")
-        print(f"validate_trace: OK: service lifecycle "
-              f"({', '.join(f'{k}={v}' for k, v in sorted(service_instants.items()))}) "
-              f"over {len(tenants)} tenants")
 
     if args.sdc:
         if "sdc" not in categories:
@@ -371,8 +271,7 @@ def main() -> None:
           f"({cats})")
 
     if args.metrics is not None:
-        check_metrics(args.metrics, args.min_metric_steps, args.sdc,
-                      args.service)
+        check_metrics(args.metrics, args.min_metric_steps, args.sdc)
 
 
 if __name__ == "__main__":
