@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   SimulationConfig cfg;
   cfg.fmm.order = order;
   cfg.tree.root_center = {0, 0, 0};
-  cfg.tree.root_half = 8.0;
+  cfg.tree.root_half = 12.0;  // encloses every Plummer body (radii up to 10)
   cfg.balancer.initial_S = 64;
   cfg.dt = 1e-4;
   cfg.softening = 1e-3;

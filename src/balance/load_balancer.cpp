@@ -29,6 +29,16 @@ const char* to_string(LbStrategy s) {
 
 namespace {
 
+// Search ends when |CPU - GPU| <= kGapRelative * compute. The paper uses an
+// absolute 0.15 s on ~1 s steps; the relative form is scale-free, so small
+// problems balance equally tightly.
+constexpr double kGapRelative = 0.15;
+
+// FineGrainedOptimize modifies at most kFgoBatch nodes per batch and runs at
+// most kFgoMaxBatches batches per step.
+constexpr int kFgoBatch = 8;
+constexpr int kFgoMaxBatches = 64;
+
 // Rejects a config the Search step cannot run: its S bracket and the clamp
 // into [min_S, max_S] need 1 <= min_S <= initial_S <= max_S, and the cost
 // model's EWMA weight must lie in (0, 1].
@@ -113,8 +123,7 @@ bool LoadBalancer::gap_ok(const ObservedStepTimes& t) const {
   // identical to |CPU - GPU| on a healthy machine, and still meaningful when
   // the near field has fallen back to the CPU.
   const double gap = std::abs(t.far_seconds() - t.near_seconds());
-  return gap <= std::max(config_.gap_seconds,
-                         config_.gap_relative * t.compute_seconds());
+  return gap <= kGapRelative * t.compute_seconds();
 }
 
 namespace {
@@ -170,7 +179,7 @@ int LoadBalancer::fine_grained_optimize(AdaptiveOctree& tree,
   double current = model_.predict_compute(counts, cores);
   r.lb_seconds += node.enforce_seconds(1, tree.num_bodies());
 
-  for (int batch = 0; batch < config_.fgo_max_batches; ++batch) {
+  for (int batch = 0; batch < kFgoMaxBatches; ++batch) {
     const bool cpu_heavy = model_.predict_cpu(counts, cores) >
                            model_.predict_gpu(counts);
 
@@ -220,8 +229,7 @@ int LoadBalancer::fine_grained_optimize(AdaptiveOctree& tree,
       return a < b;
     });
 
-    const int k = std::min<int>(config_.fgo_batch,
-                                static_cast<int>(candidates.size()));
+    const int k = std::min<int>(kFgoBatch, static_cast<int>(candidates.size()));
     std::vector<int> applied(candidates.begin(), candidates.begin() + k);
 
     // Incremental recount: collapse/push_down only reroute traversal pairs
@@ -291,7 +299,11 @@ LbStepReport LoadBalancer::post_step(AdaptiveOctree& tree,
     --epoch_pending_;  // change absorbed without ever mattering
   }
 
-  if (diverged && (!config_.shift_requires_epoch || epoch_pending_ > 0)) {
+  // A shift also needs the health registry's fault_epoch to have moved: the
+  // GPU coefficient is shape-dependent, so a violent workload change can
+  // masquerade as divergence, and the epoch tells "the machine changed"
+  // from "the tree no longer fits the bodies".
+  if (diverged && epoch_pending_ > 0) {
     // The machine itself changed: the learned coefficients describe hardware
     // that no longer exists. Drop them and re-search S from scratch for the
     // surviving capability.

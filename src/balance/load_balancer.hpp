@@ -61,17 +61,10 @@ struct LoadBalancerConfig {
   int initial_S = 64;
   int min_S = 4;
   int max_S = 4096;
-  // Search ends when |CPU - GPU| <= max(gap_seconds, gap_relative * compute).
-  // The paper uses an absolute 0.15 s on ~1 s steps; the relative form is the
-  // scale-free default so small problems balance equally tightly.
-  double gap_seconds = 0.0;
-  double gap_relative = 0.15;
   int max_search_steps = 15;
   double band = 0.05;         // 5% tolerance around the best time
   // Fig. 10's ablation: the full strategy with FineGrainedOptimize disabled.
   bool enable_fgo = true;
-  int fgo_batch = 8;          // nodes modified per FineGrainedOptimize batch
-  int fgo_max_batches = 64;
   double smoothing = 0.5;     // cost model EWMA
   // Capability-shift detection: relative observed-vs-predicted divergence
   // (symmetric, in [0, 1]) above which the machine itself -- not the
@@ -80,12 +73,6 @@ struct LoadBalancerConfig {
   // divergence losing one of two GPUs produces. 0 disables detection.
   double shift_relative = 0.3;
   int shift_min_observations = 3;  // let the EWMA settle before judging
-  // Require the health registry's fault_epoch to have moved before declaring
-  // a shift. The GPU coefficient is shape-dependent, so a violent workload
-  // change can masquerade as divergence; the epoch disambiguates "the
-  // machine changed" from "the tree no longer fits the bodies". Disable for
-  // deployments whose faults bypass the registry.
-  bool shift_requires_epoch = true;
 };
 
 struct LbStepReport {

@@ -7,6 +7,7 @@
 
 #include "core/problems.hpp"
 #include "obs/step_emitter.hpp"
+#include "util/config_check.hpp"
 
 namespace afmm {
 
@@ -32,14 +33,33 @@ bool sdc_repairable(const AuditReport& report) {
 // Rejects a time step the integrators cannot advance with, and a
 // resilience policy with a negative cadence or a meaningless tolerance.
 const EngineConfig& validated(const EngineConfig& c) {
-  if (!(std::isfinite(c.dt) && c.dt > 0.0)) {
-    char msg[96];
-    std::snprintf(msg, sizeof(msg),
-                  "EngineConfig: dt must be finite and > 0, got %g", c.dt);
-    throw std::invalid_argument(msg);
-  }
+  ConfigCheck("EngineConfig").positive("dt", c.dt);
   c.resilience.validate();
   return c;
+}
+
+// Rejects a fresh run's body that is not finite or lies outside the closed
+// root cube. The tree build files any position (mid-run NaNs must build,
+// fail the audit and roll back), so such a body would otherwise be solved
+// silently, with wrong results.
+void check_initial_bodies(std::span<const Vec3> pos, const TreeConfig& tc) {
+  const Vec3 half{tc.root_half, tc.root_half, tc.root_half};
+  const Vec3 lo = tc.root_center - half;
+  const Vec3 hi = tc.root_center + half;
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    const Vec3& p = pos[i];
+    bool ok = true;
+    for (int d = 0; d < 3; ++d)
+      ok = ok && std::isfinite(p[d]) && p[d] >= lo[d] && p[d] <= hi[d];
+    if (ok) continue;
+    char msg[256];
+    std::snprintf(msg, sizeof(msg),
+                  "SimulationEngine: body %zu at (%g, %g, %g) is not finite or "
+                  "lies outside the root cube (%g, %g, %g) +- %g",
+                  i, p.x, p.y, p.z, tc.root_center.x, tc.root_center.y,
+                  tc.root_center.z, tc.root_half);
+    throw std::invalid_argument(msg);
+  }
 }
 
 }  // namespace
@@ -60,6 +80,7 @@ template <class Problem>
 SimulationEngine<Problem>::SimulationEngine(const EngineConfig& config,
                                             Problem problem)
     : SimulationEngine(Unprimed{}, config, std::move(problem)) {
+  check_initial_bodies(problem_.positions(), config_.tree);
   TreeConfig tc = config_.tree;
   tc.leaf_capacity = config_.balancer.initial_S;
   tree_.build(problem_.positions(), tc);

@@ -140,7 +140,9 @@ class SimulationEngine {
   // initial S, primes the state with one solve and sets up resilience and
   // observability. Every constructor throws std::invalid_argument when
   // config.dt is not finite or not > 0, or when config.resilience is
-  // invalid (ResilienceConfig::validate).
+  // invalid (ResilienceConfig::validate). This one also throws, naming the
+  // body index and its coordinates, when a body is not finite or lies
+  // outside the closed root cube config.tree.root_center +- root_half.
   SimulationEngine(const EngineConfig& config, Problem problem);
 
   // Resume from a checkpoint: the engine continues the EXACT trajectory the

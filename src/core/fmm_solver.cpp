@@ -90,21 +90,6 @@ void HarmonicFarField::evaluate(const AdaptiveOctree& tree,
                        lcoef(id, 0), nrhs, nc);
       }
     }
-    // Extension: accumulate small well-separated source leaves directly
-    // into this node's local expansion (P2L).
-    if (!lists.p2l_offset.empty() &&
-        lists.p2l_offset[id + 1] > lists.p2l_offset[id]) {
-      OpTimers::Scoped timer(timers, FmmOp::kP2L,
-                             lists.p2l_offset[id + 1] - lists.p2l_offset[id]);
-      for (std::uint32_t e = lists.p2l_offset[id];
-           e < lists.p2l_offset[id + 1]; ++e) {
-        const OctreeNode& sn = tree.node(lists.p2l_sources[e]);
-        for (int r = 0; r < nrhs; ++r)
-          ctx_.p2l(n.center, pos.data() + sn.begin,
-                   charges[r].data() + sn.begin, static_cast<int>(sn.count),
-                   lcoef(id, r));
-      }
-    }
     if (n.parent >= 0) {
       OpTimers::Scoped timer(timers, FmmOp::kL2L);
       for (int r = 0; r < nrhs; ++r)
@@ -112,30 +97,10 @@ void HarmonicFarField::evaluate(const AdaptiveOctree& tree,
                  lcoef(id, r));
     }
     if (tree.is_effective_leaf(id)) {
-      {
-        OpTimers::Scoped timer(timers, FmmOp::kL2P, n.count);
-        for (std::uint32_t b = n.begin; b < n.begin + n.count; ++b)
-          for (int r = 0; r < nrhs; ++r)
-            out[r][b] = ctx_.l2p(n.center, lcoef(id, r), pos[b]);
-      }
-      // Extension: evaluate well-separated source multipoles directly at
-      // this tiny leaf's bodies (M2P).
-      if (!lists.m2p_offset.empty() &&
-          lists.m2p_offset[id + 1] > lists.m2p_offset[id]) {
-        OpTimers::Scoped timer(timers, FmmOp::kM2P,
-                               lists.m2p_offset[id + 1] - lists.m2p_offset[id]);
-        for (std::uint32_t e = lists.m2p_offset[id];
-             e < lists.m2p_offset[id + 1]; ++e) {
-          const int src = lists.m2p_sources[e];
-          const Vec3 sc = tree.node(src).center;
-          for (std::uint32_t b = n.begin; b < n.begin + n.count; ++b)
-            for (int r = 0; r < nrhs; ++r) {
-              const auto v = ctx_.m2p(sc, mcoef(src, r), pos[b]);
-              out[r][b].potential += v.potential;
-              out[r][b].gradient += v.gradient;
-            }
-        }
-      }
+      OpTimers::Scoped timer(timers, FmmOp::kL2P, n.count);
+      for (std::uint32_t b = n.begin; b < n.begin + n.count; ++b)
+        for (int r = 0; r < nrhs; ++r)
+          out[r][b] = ctx_.l2p(n.center, lcoef(id, r), pos[b]);
       return;
     }
     for (int c : n.children) {

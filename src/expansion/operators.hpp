@@ -1,5 +1,5 @@
 // The six FMM translation/evaluation operators on Cartesian Taylor
-// expansions, plus the optional M2P / P2L operators used as an extension.
+// expansions, plus the direct multipole evaluation M2P.
 //
 // Conventions (see DESIGN.md):
 //   * Multipole coefficients about a center c:
@@ -41,23 +41,19 @@ class ExpansionContext {
   // Number of coefficients per expansion (multipole and local alike).
   int ncoef() const { return set_p_.size(); }
 
-  const MultiIndexSet& index_set() const { return set_p_; }
-  const MultiIndexSet& derivative_set() const { return set_q_; }
-
   // --- particle <-> expansion -------------------------------------------
 
   // M[a] += sum_i q_i (x_i - center)^a / a!
   void p2m(const Vec3& center, const Vec3* pos, const double* charge,
            int count, double* M) const;
 
-  // L_b += sum_i q_i D^b G(center - x_i)      (extension operator)
-  void p2l(const Vec3& center, const Vec3* pos, const double* charge,
-           int count, double* L) const;
-
   // Evaluate the local expansion (and its gradient) at x.
   PointValue l2p(const Vec3& center, const double* L, const Vec3& x) const;
 
-  // Evaluate a multipole expansion directly at a distant point (extension).
+  // Evaluate a multipole expansion directly at a distant point (M2P). Not
+  // one of the FMM's operators: the Barnes-Hut baseline (core/barnes_hut)
+  // evaluates its accepted cells this way, and the operator accuracy tests
+  // check multipoles through it.
   PointValue m2p(const Vec3& center, const double* M, const Vec3& x) const;
 
   // --- expansion <-> expansion ------------------------------------------
@@ -114,16 +110,6 @@ class ExpansionContext {
     // Derivative tensor build + the dense (alpha, beta) contraction.
     return 4.0 * set_q_.size() * (set_q_.max_order() + 1) / 2.0 +
            2.0 * static_cast<double>(m2l_pairs_.size());
-  }
-  double flops_deriv_tensor() const {
-    return 4.0 * set_q_.size() * (set_q_.max_order() + 1) / 2.0;
-  }
-  // Extension operators: both pay a derivative-tensor evaluation per body.
-  double flops_m2p_per_body() const {
-    return flops_deriv_tensor() + 8.0 * ncoef();
-  }
-  double flops_p2l_per_body() const {
-    return flops_deriv_tensor() + 2.0 * ncoef();
   }
 
  private:

@@ -2,7 +2,21 @@
 
 #include <algorithm>
 
+#include "util/config_check.hpp"
+
 namespace afmm {
+
+void GpuDeviceConfig::validate() const {
+  const ConfigCheck check("GpuDeviceConfig");
+  check.at_least("num_sms", num_sms, 1);
+  check.at_least("block_size", block_size, 1);
+  check.at_least("warp_size", warp_size, 1);
+  check.positive("clock_ghz", clock_ghz);
+  check.positive("sm_flops_per_cycle", sm_flops_per_cycle);
+  check.non_negative("cycles_per_tile_load", cycles_per_tile_load);
+  check.non_negative("cycles_per_block", cycles_per_block);
+  check.non_negative("launch_overhead_us", launch_overhead_us);
+}
 
 double block_cycles(const GpuDeviceConfig& dev, int lanes,
                     std::uint64_t sources, double flops_per_interaction) {

@@ -42,6 +42,11 @@ struct GpuDeviceConfig {
   double cycles_per_block = 2000.0;
   // Host-side kernel launch latency.
   double launch_overhead_us = 10.0;
+
+  // Throws std::invalid_argument naming the field and the value unless the
+  // counts are >= 1, the clock and the flop rate finite and > 0, and the
+  // cycle costs and the launch overhead finite and >= 0.
+  void validate() const;
 };
 
 // One P2P work unit as seen by the device: `targets` bodies in the target

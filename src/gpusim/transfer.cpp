@@ -2,7 +2,19 @@
 
 #include <algorithm>
 
+#include "util/config_check.hpp"
+
 namespace afmm {
+
+void TransferLinkConfig::validate() const {
+  const ConfigCheck check("TransferLinkConfig");
+  check.positive("bandwidth_gbs", bandwidth_gbs);
+  check.non_negative("latency_us", latency_us);
+  check.non_negative("host_launch_us", host_launch_us);
+  check.at_least("max_retries", max_retries, 0);
+  check.non_negative("backoff_base_us", backoff_base_us);
+  check.non_negative("backoff_multiplier", backoff_multiplier);
+}
 
 namespace {
 

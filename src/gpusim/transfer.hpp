@@ -48,6 +48,11 @@ struct TransferLinkConfig {
   int max_retries = 4;             // failed attempts before the forced success
   double backoff_base_us = 50.0;   // backoff before the first retry
   double backoff_multiplier = 2.0; // backoff growth per further retry
+
+  // Throws std::invalid_argument naming the field and the value unless the
+  // bandwidth is finite and > 0, the latencies and backoffs finite and >= 0,
+  // and max_retries >= 0.
+  void validate() const;
 };
 
 // Deterministic transient-fault source for the retry model. Each attempt is

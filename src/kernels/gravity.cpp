@@ -1,20 +1,14 @@
 #include "kernels/gravity.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <stdexcept>
+
+#include "util/config_check.hpp"
 
 namespace afmm {
 
 GravityKernel::GravityKernel(double softening)
     : eps2_(softening * softening) {
-  if (!(std::isfinite(softening) && softening >= 0.0)) {
-    char msg[96];
-    std::snprintf(msg, sizeof(msg),
-                  "GravityKernel: softening must be finite and >= 0, got %g",
-                  softening);
-    throw std::invalid_argument(msg);
-  }
+  ConfigCheck("GravityKernel").non_negative("softening", softening);
 }
 
 void gravity_direct(const GravityKernel& kernel, std::span<const Vec3> targets,

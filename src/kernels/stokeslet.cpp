@@ -1,19 +1,14 @@
 #include "kernels/stokeslet.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
+
+#include "util/config_check.hpp"
 
 namespace afmm {
 
 StokesletKernel::StokesletKernel(double epsilon) : eps2_(epsilon * epsilon) {
-  if (!(std::isfinite(epsilon) && epsilon > 0.0)) {
-    char msg[96];
-    std::snprintf(msg, sizeof(msg),
-                  "StokesletKernel: epsilon must be finite and > 0, got %g",
-                  epsilon);
-    throw std::invalid_argument(msg);
-  }
+  ConfigCheck("StokesletKernel").positive("epsilon", epsilon);
 }
 
 std::vector<StokesletAccum> stokeslet_direct_all(

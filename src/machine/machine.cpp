@@ -6,8 +6,23 @@
 #include <string>
 
 #include "cpusched/task_sim.hpp"
+#include "util/config_check.hpp"
 
 namespace afmm {
+
+void CpuModelConfig::validate() const {
+  const ConfigCheck check("CpuModelConfig");
+  check.positive("gflops_per_core", gflops_per_core);
+  check.non_negative("task_overhead_us", task_overhead_us);
+  check.non_negative("bytes_per_flop", bytes_per_flop);
+  check.positive("bw_per_core_gbs", bw_per_core_gbs);
+  check.positive("bw_total_gbs", bw_total_gbs);
+  check.at_least("cores_per_socket", cores_per_socket, 1);
+  check.non_negative("cache_bonus_per_extra_socket",
+                     cache_bonus_per_extra_socket);
+  check.at_least("max_bonus_sockets", max_bonus_sockets, 0);
+  check.non_negative("p2p_flops", p2p_flops);
+}
 
 double CpuModelConfig::effective_rate(int p) const {
   const int sockets_used =
@@ -37,17 +52,16 @@ struct FarFieldBreakdown {
   double up_makespan = 0.0;
   double down_makespan = 0.0;
   double t_p2m = 0.0, t_m2m = 0.0, t_m2l = 0.0, t_l2l = 0.0, t_l2p = 0.0;
-  double t_m2p = 0.0, t_p2l = 0.0;
 };
 
 // Per-operation flops of one node's sweep tasks. up()/down() sum their
 // addends in the exact order the historical builder accumulated them, so
 // task durations stay bitwise identical to the recorded timelines.
 struct NodeSweepFlops {
-  double p2m = 0.0, m2m = 0.0;                                    // up-sweep
-  double m2l = 0.0, l2l = 0.0, l2p = 0.0, m2p = 0.0, p2l = 0.0;  // down-sweep
+  double p2m = 0.0, m2m = 0.0;            // up-sweep
+  double m2l = 0.0, l2l = 0.0, l2p = 0.0;  // down-sweep
   double up() const { return p2m + m2m; }
-  double down() const { return l2p + m2l + m2p + p2l + l2l; }
+  double down() const { return l2p + m2l + l2l; }
 };
 
 NodeSweepFlops node_sweep_flops(const ExpansionContext& ctx,
@@ -62,22 +76,6 @@ NodeSweepFlops node_sweep_flops(const ExpansionContext& ctx,
   }
   const auto m2l_count = lists.m2l_offset[id + 1] - lists.m2l_offset[id];
   if (m2l_count > 0) f.m2l = passes * ctx.flops_m2l() * m2l_count;
-  // Extension operators, when the traversal emitted them.
-  if (!lists.m2p_offset.empty()) {
-    const auto m2p_count = lists.m2p_offset[id + 1] - lists.m2p_offset[id];
-    if (m2p_count > 0)
-      f.m2p = passes * ctx.flops_m2p_per_body() *
-              static_cast<double>(m2p_count) * n.count;
-  }
-  if (!lists.p2l_offset.empty()) {
-    std::uint64_t p2l_bodies = 0;
-    for (std::uint32_t e = lists.p2l_offset[id]; e < lists.p2l_offset[id + 1];
-         ++e)
-      p2l_bodies += tree.node(lists.p2l_sources[e]).count;
-    if (p2l_bodies > 0)
-      f.p2l =
-          passes * ctx.flops_p2l_per_body() * static_cast<double>(p2l_bodies);
-  }
   if (n.parent >= 0) {
     // M2M into the parent is charged on the child task (it runs after the
     // child subtree completes); L2L from the parent on the child as well.
@@ -111,8 +109,6 @@ FarFieldBreakdown build_and_schedule(const ExpansionContext& ctx,
     out.t_p2m += cpu.task_seconds(f.p2m, p);
     out.t_l2p += cpu.task_seconds(f.l2p, p);
     out.t_m2l += cpu.task_seconds(f.m2l, p);
-    out.t_m2p += cpu.task_seconds(f.m2p, p);
-    out.t_p2l += cpu.task_seconds(f.p2l, p);
     out.t_m2m += cpu.task_seconds(f.m2m, p);
     out.t_l2l += cpu.task_seconds(f.l2l, p);
 
@@ -158,8 +154,6 @@ ObservedStepTimes NodeSimulator::simulate_far_field(
   t.t_m2l = bd.t_m2l;
   t.t_l2l = bd.t_l2l;
   t.t_l2p = bd.t_l2p;
-  t.t_m2p = bd.t_m2p;
-  t.t_p2l = bd.t_p2l;
   return t;
 }
 

@@ -48,6 +48,12 @@ struct CpuModelConfig {
   // CPU flops of one direct interaction (serial / no-GPU baseline mode).
   double p2p_flops = 24.0;
 
+  // Throws std::invalid_argument naming the field and the value unless
+  // cores_per_socket >= 1, max_bonus_sockets >= 0, the rates and bandwidths
+  // are finite and > 0, and the overhead, traffic, bonus and per-interaction
+  // costs finite and >= 0. num_cores is NodeSimulator::set_cpu_cores's check.
+  void validate() const;
+
   // Effective per-core flop rate when P cores are active.
   double effective_rate(int p) const;
   // Per-core bandwidth share when P cores are active.
@@ -91,17 +97,18 @@ struct ObservedStepTimes {
   double t_m2l = 0.0;
   double t_l2l = 0.0;
   double t_l2p = 0.0;
-  // Extension operators (zero unless the traversal emitted M2P/P2L work).
-  double t_m2p = 0.0;
-  double t_p2l = 0.0;
 };
 
 class NodeSimulator {
  public:
-  // Throws std::invalid_argument when cpu.num_cores < 1.
+  // Throws std::invalid_argument naming the field when the CPU config, the
+  // link or any device config is invalid (see their validate()).
   NodeSimulator(CpuModelConfig cpu, GpuSystemConfig gpus)
       : cpu_(cpu), gpus_(std::move(gpus)) {
     set_cpu_cores(cpu_.num_cores);
+    cpu_.validate();
+    gpus_.link.validate();
+    for (const auto& dev : gpus_.devices) dev.validate();
   }
 
   const CpuModelConfig& cpu() const { return cpu_; }

@@ -1,9 +1,9 @@
 // Versioned memoization of the dual-tree traversal.
 //
 // Interaction lists depend only on the tree's effective STRUCTURE (node
-// geometry + collapsed flags), on which nodes are empty, and on the
-// list-shaping TraversalConfig fields -- not on where exactly the bodies sit
-// inside their leaves. The cache keys on AdaptiveOctree::structure_version()
+// geometry + collapsed flags), on which nodes are empty, and on
+// TraversalConfig::theta -- not on where exactly the bodies sit inside their
+// leaves. The cache keys on AdaptiveOctree::structure_version()
 // and returns the memoized lists when nothing changed, which removes the
 // repeated rebuilds of the balancer loop (the same structure used to be
 // re-traversed up to five times per step: twice in solve, plus every
@@ -12,12 +12,10 @@
 // A rebin() (content_version bump with the structure unchanged) does NOT
 // re-traverse. Instead the cached P2P interaction counts are refreshed in
 // O(pairs) from the current node counts, so GPU partitioning and cost
-// prediction keep seeing accurate Interactions(t). Two rebin effects do
-// force a full rebuild, because they change the traversal itself:
-//   * a node flipping between empty and non-empty (the walk prunes empty
-//     boxes), detected by an O(nodes) emptiness comparison, and
-//   * any M2P/P2L extension config, whose classification thresholds compare
-//     against body counts.
+// prediction keep seeing accurate Interactions(t). One rebin effect does
+// force a full rebuild, because it changes the traversal itself: a node
+// flipping between empty and non-empty (the walk prunes empty boxes),
+// detected by an O(nodes) emptiness comparison.
 //
 // Not thread-safe: one cache serves one solver/balancer pipeline.
 #pragma once
@@ -32,9 +30,8 @@ namespace afmm {
 class InteractionListCache {
  public:
   // Returns the lists for (tree, config), re-running the traversal only when
-  // the structure version or the list-shaping config fields changed since
-  // the cached build. The reference stays valid until the next get() or
-  // invalidate().
+  // the structure version or theta changed since the cached build. The
+  // reference stays valid until the next get() or invalidate().
   const InteractionLists& get(const AdaptiveOctree& tree,
                               const TraversalConfig& config);
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 namespace afmm {
@@ -17,13 +16,6 @@ void TraversalConfig::validate() const {
                   theta);
     throw std::invalid_argument(msg);
   }
-  const auto non_negative = [](const char* field, int v) {
-    if (v < 0)
-      throw std::invalid_argument(std::string("TraversalConfig: ") + field +
-                                  " must be >= 0, got " + std::to_string(v));
-  };
-  non_negative("m2p_target_max", m2p_target_max);
-  non_negative("p2l_source_max", p2l_source_max);
 }
 
 namespace {
@@ -45,7 +37,7 @@ bool well_separated(const OctreeNode& a, const OctreeNode& b, double theta) {
 // buffers which are concatenated in child order afterwards, so the merged
 // streams are bit-identical to the serial depth-first walk.
 struct PairBufs {
-  std::vector<std::pair<int, int>> m2l, p2p, m2p, p2l;
+  std::vector<std::pair<int, int>> m2l, p2p;
 
   void append(PairBufs&& o) {
     auto cat = [](std::vector<std::pair<int, int>>& dst,
@@ -57,8 +49,6 @@ struct PairBufs {
     };
     cat(m2l, o.m2l);
     cat(p2p, o.p2p);
-    cat(m2p, o.m2p);
-    cat(p2l, o.p2l);
   }
 };
 
@@ -68,18 +58,6 @@ void dual_walk(const AdaptiveOctree& tree, const TraversalConfig& config,
   const OctreeNode& b = tree.node(sb);
   if (a.count == 0 || b.count == 0) return;
   if (well_separated(a, b, config.theta)) {
-    if (config.use_m2p_p2l) {
-      if (tree.is_effective_leaf(ta) &&
-          a.count <= static_cast<std::uint32_t>(config.m2p_target_max)) {
-        out.m2p.emplace_back(ta, sb);
-        return;
-      }
-      if (tree.is_effective_leaf(sb) &&
-          b.count <= static_cast<std::uint32_t>(config.p2l_source_max)) {
-        out.p2l.emplace_back(ta, sb);
-        return;
-      }
-    }
     out.m2l.emplace_back(ta, sb);
     return;
   }
@@ -148,26 +126,16 @@ InteractionLists build_interaction_lists(const AdaptiveOctree& tree,
   }
   auto& m2l_pairs = bufs.m2l;
   auto& p2p_pairs = bufs.p2p;
-  auto& m2p_pairs = bufs.m2p;
-  auto& p2l_pairs = bufs.p2l;
 
-  // Group pair streams into CSR by target.
-  auto to_csr = [n](const std::vector<std::pair<int, int>>& pairs,
-                    std::vector<std::uint32_t>& offset,
-                    std::vector<int>& sources) {
-    offset.assign(n + 1, 0);
-    for (const auto& [t, s] : pairs) offset[t + 1]++;
-    for (int i = 0; i < n; ++i) offset[i + 1] += offset[i];
-    sources.resize(pairs.size());
-    std::vector<std::uint32_t> cursor(offset.begin(), offset.end() - 1);
-    for (const auto& [t, s] : pairs) sources[cursor[t]++] = s;
-  };
-  to_csr(m2l_pairs, out.m2l_offset, out.m2l_sources);
-  to_csr(m2p_pairs, out.m2p_offset, out.m2p_sources);
-  to_csr(p2l_pairs, out.p2l_offset, out.p2l_sources);
+  // Group the M2L pair stream into CSR by target.
+  out.m2l_offset.assign(n + 1, 0);
+  for (const auto& [t, s] : m2l_pairs) out.m2l_offset[t + 1]++;
+  for (int i = 0; i < n; ++i) out.m2l_offset[i + 1] += out.m2l_offset[i];
+  out.m2l_sources.resize(m2l_pairs.size());
+  std::vector<std::uint32_t> cursor(out.m2l_offset.begin(),
+                                    out.m2l_offset.end() - 1);
+  for (const auto& [t, s] : m2l_pairs) out.m2l_sources[cursor[t]++] = s;
   out.total_m2l_pairs = m2l_pairs.size();
-  out.total_m2p_pairs = m2p_pairs.size();
-  out.total_p2l_pairs = p2l_pairs.size();
 
   // Group P2P pairs into per-target work items.
   std::vector<int> work_of(n, -1);
@@ -212,21 +180,6 @@ OpCounts count_operations(const AdaptiveOctree& tree,
   c.m2l = lists.total_m2l_pairs;
   c.p2p_interactions = lists.total_p2p_interactions;
   for (const auto& w : lists.p2p) c.p2p_node_pairs += w.sources.size();
-
-  c.m2p = lists.total_m2p_pairs;
-  c.p2l = lists.total_p2l_pairs;
-  if (!lists.m2p_offset.empty()) {
-    for (int t = 0; t < tree.num_nodes(); ++t) {
-      const auto pairs = lists.m2p_offset[t + 1] - lists.m2p_offset[t];
-      c.m2p_bodies += static_cast<std::uint64_t>(pairs) * tree.node(t).count;
-    }
-  }
-  if (!lists.p2l_offset.empty()) {
-    for (int t = 0; t < tree.num_nodes(); ++t)
-      for (std::uint32_t e = lists.p2l_offset[t]; e < lists.p2l_offset[t + 1];
-           ++e)
-        c.p2l_bodies += tree.node(lists.p2l_sources[e]).count;
-  }
   return c;
 }
 
@@ -242,10 +195,6 @@ void for_each_field(OpCounts& a, const OpCounts& b, Op op) {
   op(a.l2p_bodies, b.l2p_bodies);
   op(a.p2p_interactions, b.p2p_interactions);
   op(a.p2p_node_pairs, b.p2p_node_pairs);
-  op(a.m2p, b.m2p);
-  op(a.m2p_bodies, b.m2p_bodies);
-  op(a.p2l, b.p2l);
-  op(a.p2l_bodies, b.p2l_bodies);
 }
 }  // namespace
 
@@ -313,22 +262,7 @@ OpCounts count_operations_touching(const AdaptiveOctree& tree,
     if (a.count == 0 || b.count == 0) return;
     const bool touch = ain || bin;
     if (well_separated(a, b, config.theta)) {
-      if (!touch) return;
-      if (config.use_m2p_p2l) {
-        if (tree.is_effective_leaf(ta) &&
-            a.count <= static_cast<std::uint32_t>(config.m2p_target_max)) {
-          ++c.m2p;
-          c.m2p_bodies += a.count;
-          return;
-        }
-        if (tree.is_effective_leaf(sb) &&
-            b.count <= static_cast<std::uint32_t>(config.p2l_source_max)) {
-          ++c.p2l;
-          c.p2l_bodies += b.count;
-          return;
-        }
-      }
-      ++c.m2l;
+      if (touch) ++c.m2l;
       return;
     }
     const bool la = tree.is_effective_leaf(ta);

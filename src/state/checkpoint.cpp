@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -13,6 +12,7 @@
 #include <stdexcept>
 
 #include "state/serial.hpp"
+#include "util/config_check.hpp"
 
 namespace afmm {
 
@@ -90,10 +90,6 @@ void put_op_counts(ByteWriter& w, const OpCounts& c) {
   w.u64(c.l2p_bodies);
   w.u64(c.p2p_interactions);
   w.u64(c.p2p_node_pairs);
-  w.u64(c.m2p);
-  w.u64(c.m2p_bodies);
-  w.u64(c.p2l);
-  w.u64(c.p2l_bodies);
 }
 
 OpCounts get_op_counts(ByteReader& r) {
@@ -107,10 +103,6 @@ OpCounts get_op_counts(ByteReader& r) {
   c.l2p_bodies = r.u64();
   c.p2p_interactions = r.u64();
   c.p2p_node_pairs = r.u64();
-  c.m2p = r.u64();
-  c.m2p_bodies = r.u64();
-  c.p2l = r.u64();
-  c.p2l_bodies = r.u64();
   return c;
 }
 
@@ -125,8 +117,6 @@ void put_observed(ByteWriter& w, const ObservedStepTimes& t) {
   w.f64(t.t_m2l);
   w.f64(t.t_l2l);
   w.f64(t.t_l2p);
-  w.f64(t.t_m2p);
-  w.f64(t.t_p2l);
 }
 
 ObservedStepTimes get_observed(ByteReader& r) {
@@ -141,8 +131,6 @@ ObservedStepTimes get_observed(ByteReader& r) {
   t.t_m2l = r.f64();
   t.t_l2l = r.f64();
   t.t_l2p = r.f64();
-  t.t_m2p = r.f64();
-  t.t_p2l = r.f64();
   return t;
 }
 
@@ -666,42 +654,19 @@ std::optional<SimCheckpoint> CheckpointStore::load_latest(
   return std::nullopt;
 }
 
-namespace {
-
-[[noreturn]] void reject_resilience(const char* field, const char* rule,
-                                    double value) {
-  char msg[160];
-  std::snprintf(msg, sizeof(msg), "ResilienceConfig: %s must be %s, got %g",
-                field, rule, value);
-  throw std::invalid_argument(msg);
-}
-
-}  // namespace
-
 void ResilienceConfig::validate() const {
-  const auto at_least = [](const char* field, double v, double lo,
-                           const char* rule) {
-    if (!(v >= lo)) reject_resilience(field, rule, v);
-  };
-  const auto finite_non_negative = [](const char* field, double v) {
-    if (!(std::isfinite(v) && v >= 0.0))
-      reject_resilience(field, "finite and >= 0", v);
-  };
-  const auto finite_positive = [](const char* field, double v) {
-    if (!(std::isfinite(v) && v > 0.0))
-      reject_resilience(field, "finite and > 0", v);
-  };
-  at_least("checkpoint_interval", checkpoint_interval, 0, ">= 0");
-  at_least("checkpoint_keep", checkpoint_keep, 1, ">= 1");
-  at_least("audit.interval", audit.interval, 0, ">= 0");
-  at_least("audit.force_samples", audit.force_samples, 0, ">= 0");
-  finite_positive("audit.force_rel_tol", audit.force_rel_tol);
-  finite_positive("audit.leaf_capacity_slack", audit.leaf_capacity_slack);
-  finite_non_negative("audit.momentum_rel_tol", audit.momentum_rel_tol);
-  finite_non_negative("watchdog.wall_limit_seconds",
-                      watchdog.wall_limit_seconds);
-  finite_non_negative("watchdog.virtual_limit_seconds",
-                      watchdog.virtual_limit_seconds);
+  const ConfigCheck check("ResilienceConfig");
+  check.at_least("checkpoint_interval", checkpoint_interval, 0);
+  check.at_least("checkpoint_keep", checkpoint_keep, 1);
+  check.at_least("audit.interval", audit.interval, 0);
+  check.at_least("audit.force_samples", audit.force_samples, 0);
+  check.positive("audit.force_rel_tol", audit.force_rel_tol);
+  check.positive("audit.leaf_capacity_slack", audit.leaf_capacity_slack);
+  check.non_negative("audit.momentum_rel_tol", audit.momentum_rel_tol);
+  check.non_negative("watchdog.wall_limit_seconds",
+                     watchdog.wall_limit_seconds);
+  check.non_negative("watchdog.virtual_limit_seconds",
+                     watchdog.virtual_limit_seconds);
 }
 
 }  // namespace afmm

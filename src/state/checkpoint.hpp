@@ -61,7 +61,9 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x4D4D4641;  // "AFMM"
 // v6: the overlap execution mode is gone: the v5 observed and balancer
 // additions are dropped again, and the tree section no longer carries the
 // two retired bytes (parallel-build flag, build-strategy tag).
-inline constexpr std::uint32_t kCheckpointVersion = 6;
+// v7: the M2P/P2L far-field extension is gone: the operation counts drop
+// their four M2P/P2L fields and the observed section its two M2P/P2L times.
+inline constexpr std::uint32_t kCheckpointVersion = 7;
 
 enum class SimKind : std::uint32_t { kGravity = 0, kStokes = 1 };
 

@@ -13,6 +13,7 @@
 //     emitter) need no per-problem cases.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -132,6 +133,71 @@ TEST(Engine, RejectsNonPositiveOrNonFiniteDt) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("dt"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("-0.5"), std::string::npos);
+  }
+}
+
+// A fresh run starts only from finite bodies inside the closed root cube:
+// the tree build files any position (mid-run NaNs must build, fail the
+// audit and roll back), so a stray initial body would be solved silently
+// with wrong results. A body exactly on a face is inside.
+TEST(Engine, RejectsBodiesOutsideRootOrNonFinite) {
+  using L = std::numeric_limits<double>;
+  struct Row {
+    const char* name;
+    int axis;
+    double (*place)(double center, double half);
+    bool accepted;
+  };
+  const Row rows[] = {
+      {"NaN x", 0, [](double, double) { return L::quiet_NaN(); }, false},
+      {"inf y", 1, [](double, double) { return L::infinity(); }, false},
+      {"just outside the upper z face", 2,
+       [](double c, double h) { return std::nextafter(c + h, L::infinity()); },
+       false},
+      {"just outside the lower x face", 0,
+       [](double c, double h) { return std::nextafter(c - h, -L::infinity()); },
+       false},
+      {"on the upper z face", 2, [](double c, double h) { return c + h; },
+       true},
+      {"on the lower y face", 1, [](double c, double h) { return c - h; },
+       true},
+  };
+  constexpr int kBody = 7;
+  const auto expect = [](const Row& row, auto construct) {
+    try {
+      construct();
+      EXPECT_TRUE(row.accepted) << row.name << ": accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_FALSE(row.accepted) << row.name << ": " << e.what();
+      EXPECT_NE(std::string(e.what()).find("body " + std::to_string(kBody)),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  for (const Row& row : rows) {
+    SimulationConfig grav;
+    Rng grng(5);
+    auto set = uniform_cube(50, grng, {0.5, 0.5, 0.5}, 0.5);
+    set.positions[kBody][row.axis] = row.place(
+        grav.tree.root_center[row.axis], grav.tree.root_half);
+    expect(row, [&] {
+      GravitySimulation(grav,
+                        NodeSimulator(CpuModelConfig{},
+                                      GpuSystemConfig::uniform(1)),
+                        set);
+    });
+
+    const auto stokes = stokes_config();
+    Rng srng(93);
+    auto pos = blob(srng, 500, {0, 0, 3}, 1.0);
+    pos[kBody][row.axis] = row.place(stokes.tree.root_center[row.axis],
+                                     stokes.tree.root_half);
+    expect(row, [&] {
+      StokesSimulation(stokes,
+                       NodeSimulator(CpuModelConfig{},
+                                     GpuSystemConfig::uniform(2)),
+                       pos, constant_force({0, 0, -1}));
+    });
   }
 }
 

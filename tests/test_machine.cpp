@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -83,6 +85,80 @@ TEST(NodeSimulator, RejectsNegativeGpuCount) {
   EXPECT_TRUE(GpuSystemConfig::uniform(0).devices.empty());
 }
 
+// Every field a division, a modulo or an SM vector depends on is checked at
+// construction: without the checks num_sms = 0 segfaults, block_size /
+// warp_size / cores_per_socket = 0 stop the process with SIGFPE, and a zero
+// clock or bandwidth yields inf seconds. Device rows edit the second of two
+// devices, so every device is checked, not just the first.
+struct Machine {
+  CpuModelConfig cpu;
+  GpuSystemConfig gpus = GpuSystemConfig::uniform(2);
+  GpuDeviceConfig& dev() { return gpus.devices[1]; }
+};
+struct ConfigRow {
+  const char* field;  // expected in the message, config name included
+  void (*set)(Machine&, double);
+  double bad;
+  double boundary;  // the extreme accepted value
+};
+#define CONFIG_ROW(config, target, field, bad, boundary)              \
+  ConfigRow {                                                         \
+    #config ": " #field,                                              \
+        [](Machine& m, double v) {                                    \
+          m.target.field = static_cast<decltype(m.target.field)>(v);  \
+        },                                                            \
+        bad, boundary                                                 \
+  }
+
+TEST(NodeSimulator, RejectsInvalidMachineConfig) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::nextafter(0.0, 1.0);
+  const ConfigRow rows[] = {
+      CONFIG_ROW(GpuDeviceConfig, dev(), num_sms, 0, 1),
+      CONFIG_ROW(GpuDeviceConfig, dev(), block_size, 0, 1),
+      CONFIG_ROW(GpuDeviceConfig, dev(), warp_size, 0, 1),
+      CONFIG_ROW(GpuDeviceConfig, dev(), clock_ghz, 0.0, tiny),
+      CONFIG_ROW(GpuDeviceConfig, dev(), sm_flops_per_cycle, nan, tiny),
+      CONFIG_ROW(GpuDeviceConfig, dev(), cycles_per_tile_load, -1.0, 0.0),
+      CONFIG_ROW(GpuDeviceConfig, dev(), cycles_per_block, nan, 0.0),
+      CONFIG_ROW(GpuDeviceConfig, dev(), launch_overhead_us, inf, 0.0),
+      CONFIG_ROW(TransferLinkConfig, gpus.link, bandwidth_gbs, 0.0, tiny),
+      CONFIG_ROW(TransferLinkConfig, gpus.link, latency_us, -1.0, 0.0),
+      CONFIG_ROW(TransferLinkConfig, gpus.link, host_launch_us, nan, 0.0),
+      CONFIG_ROW(TransferLinkConfig, gpus.link, max_retries, -1, 0),
+      CONFIG_ROW(TransferLinkConfig, gpus.link, backoff_base_us, -1.0, 0.0),
+      CONFIG_ROW(TransferLinkConfig, gpus.link, backoff_multiplier, inf, 0.0),
+      CONFIG_ROW(CpuModelConfig, cpu, gflops_per_core, 0.0, tiny),
+      CONFIG_ROW(CpuModelConfig, cpu, task_overhead_us, -1.0, 0.0),
+      CONFIG_ROW(CpuModelConfig, cpu, bytes_per_flop, nan, 0.0),
+      CONFIG_ROW(CpuModelConfig, cpu, bw_per_core_gbs, 0.0, tiny),
+      CONFIG_ROW(CpuModelConfig, cpu, bw_total_gbs, inf, tiny),
+      CONFIG_ROW(CpuModelConfig, cpu, cores_per_socket, 0, 1),
+      CONFIG_ROW(CpuModelConfig, cpu, cache_bonus_per_extra_socket, -0.1, 0.0),
+      CONFIG_ROW(CpuModelConfig, cpu, max_bonus_sockets, -1, 0),
+      CONFIG_ROW(CpuModelConfig, cpu, p2p_flops, nan, 0.0),
+  };
+  const auto construct = [](const ConfigRow& row, double v) {
+    Machine m;
+    row.set(m, v);
+    NodeSimulator node(m.cpu, m.gpus);
+  };
+  for (const ConfigRow& row : rows) {
+    try {
+      construct(row, row.bad);
+      ADD_FAILURE() << row.field << " = " << row.bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(row.field), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("got"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_NO_THROW(construct(row, row.boundary)) << row.field;
+  }
+}
+#undef CONFIG_ROW
+
 class MachineFixture : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -157,26 +233,6 @@ TEST_F(MachineFixture, StokesletPassesScaleFarFieldTimes) {
   // Section IX.B).
   EXPECT_NEAR(t4.t_m2l / t1.t_m2l, 4.0, 0.01);
   EXPECT_GT(t4.cpu_seconds, 2.5 * t1.cpu_seconds);
-}
-
-TEST_F(MachineFixture, ExtensionOpsAreChargedWhenPresent) {
-  ExpansionContext ctx(4);
-  NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(1));
-
-  TraversalConfig ext;
-  ext.use_m2p_p2l = true;
-  // Rebuild the lists with tiny leaves so the extension actually fires.
-  AdaptiveOctree fine;
-  fine.build(pts_, unit_config(4));
-  const auto lists = build_interaction_lists(fine, ext);
-  const auto t = node.simulate_far_field(ctx, fine, lists);
-  ASSERT_GT(t.counts.m2p + t.counts.p2l, 0u);
-  EXPECT_GT(t.t_m2p + t.t_p2l, 0.0);
-  // Classic path charges nothing for them.
-  const auto base_lists = build_interaction_lists(fine);
-  const auto tb = node.simulate_far_field(ctx, fine, base_lists);
-  EXPECT_EQ(tb.t_m2p, 0.0);
-  EXPECT_EQ(tb.t_p2l, 0.0);
 }
 
 TEST_F(MachineFixture, MaintenanceCostsScaleWithInput) {

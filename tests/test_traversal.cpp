@@ -73,20 +73,6 @@ void check_pair_coverage(const AdaptiveOctree& tree,
         for (int bs : bodies_of(src))
           ++cover[static_cast<std::size_t>(bt) * n + bs];
 
-  // Extension relations (empty CSRs when the flag is off).
-  for (int t = 0; t < tree.num_nodes() && !lists.m2p_offset.empty(); ++t)
-    for (std::uint32_t e = lists.m2p_offset[t]; e < lists.m2p_offset[t + 1];
-         ++e)
-      for (int bt : bodies_of(t))
-        for (int bs : bodies_of(lists.m2p_sources[e]))
-          ++cover[static_cast<std::size_t>(bt) * n + bs];
-  for (int t = 0; t < tree.num_nodes() && !lists.p2l_offset.empty(); ++t)
-    for (std::uint32_t e = lists.p2l_offset[t]; e < lists.p2l_offset[t + 1];
-         ++e)
-      for (int bt : bodies_of(t))
-        for (int bs : bodies_of(lists.p2l_sources[e]))
-          ++cover[static_cast<std::size_t>(bt) * n + bs];
-
   for (int t = 0; t < n; ++t)
     for (int s = 0; s < n; ++s) {
       if (t == s) continue;  // self pairs live in the P2P self relation
@@ -141,36 +127,6 @@ TEST(Traversal, CoverageHoldsAfterCollapseAndPushDown) {
   }
   const auto lists = build_interaction_lists(tree);
   check_pair_coverage(tree, lists, n);
-}
-
-TEST(Traversal, CoverageHoldsWithM2pP2lExtension) {
-  Rng rng(78);
-  const int n = 300;
-  const auto pts = random_points(rng, n);
-  AdaptiveOctree tree;
-  tree.build(pts, unit_config(6));  // small leaves: extension fires often
-  TraversalConfig cfg;
-  cfg.use_m2p_p2l = true;
-  const auto lists = build_interaction_lists(tree, cfg);
-  EXPECT_GT(lists.total_m2p_pairs + lists.total_p2l_pairs, 0u);
-  check_pair_coverage(tree, lists, n);
-}
-
-TEST(Traversal, ExtensionAbsorbsM2LPairs) {
-  Rng rng(79);
-  const auto pts = random_points(rng, 4000);
-  AdaptiveOctree tree;
-  tree.build(pts, unit_config(8));
-  TraversalConfig base;
-  TraversalConfig ext;
-  ext.use_m2p_p2l = true;
-  const auto lb = build_interaction_lists(tree, base);
-  const auto le = build_interaction_lists(tree, ext);
-  EXPECT_LT(le.total_m2l_pairs, lb.total_m2l_pairs);
-  EXPECT_EQ(le.total_m2l_pairs + le.total_m2p_pairs + le.total_p2l_pairs,
-            lb.total_m2l_pairs);
-  // The near field is untouched by the extension.
-  EXPECT_EQ(le.total_p2p_interactions, lb.total_p2p_interactions);
 }
 
 TEST(Traversal, MacRespectedByM2LPairs) {
@@ -301,27 +257,12 @@ TEST(Traversal, OpCountsConsistent) {
 
 // Both places a TraversalConfig enters -- the solver and the balancer --
 // reject a theta outside (0, 1) (theta = 0 would divide by zero in the
-// acceptance test and silently make every pair P2P) and negative M2P/P2L
-// thresholds, naming the field.
+// acceptance test and silently make every pair P2P), naming the field.
 TEST(Traversal, RejectsInvalidTraversalConfig) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  struct Row {
-    const char* field;
-    double theta;
-    int m2p_target_max;
-    int p2l_source_max;
-  };
-  const Row bad[] = {
-      {"theta", 0.0, 4, 4},  {"theta", 1.0, 4, 4},
-      {"theta", -0.5, 4, 4}, {"theta", 1.5, 4, 4},
-      {"theta", nan, 4, 4},  {"m2p_target_max", 0.55, -1, 4},
-      {"p2l_source_max", 0.55, 4, -1},
-  };
-  const auto with = [](const Row& row) {
+  const auto with = [](double theta) {
     TraversalConfig t;
-    t.theta = row.theta;
-    t.m2p_target_max = row.m2p_target_max;
-    t.p2l_source_max = row.p2l_source_max;
+    t.theta = theta;
     return t;
   };
   const auto solver = [](const TraversalConfig& t) {
@@ -333,29 +274,24 @@ TEST(Traversal, RejectsInvalidTraversalConfig) {
   const auto balancer = [](const TraversalConfig& t) {
     LoadBalancer lb(LoadBalancerConfig{}, t);
   };
-  const auto expect_rejected = [](const Row& row, auto construct) {
+  const auto expect_rejected = [](double theta, auto construct) {
     try {
       construct();
-      ADD_FAILURE() << row.field << ": no throw (theta " << row.theta << ")";
+      ADD_FAILURE() << "no throw for theta " << theta;
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(row.field), std::string::npos)
+      EXPECT_NE(std::string(e.what()).find("theta"), std::string::npos)
           << e.what();
     }
   };
-  for (const Row& row : bad) {
-    expect_rejected(row, [&] { solver(with(row)); });
-    expect_rejected(row, [&] { balancer(with(row)); });
+  for (const double theta : {0.0, 1.0, -0.5, 1.5, nan}) {
+    expect_rejected(theta, [&] { solver(with(theta)); });
+    expect_rejected(theta, [&] { balancer(with(theta)); });
   }
-  // Each field at its boundary is accepted.
-  const Row boundary[] = {
-      {"theta", std::nextafter(0.0, 1.0), 4, 4},
-      {"theta", std::nextafter(1.0, 0.0), 4, 4},
-      {"m2p_target_max", 0.55, 0, 4},
-      {"p2l_source_max", 0.55, 4, 0},
-  };
-  for (const Row& row : boundary) {
-    EXPECT_NO_THROW(solver(with(row))) << row.field;
-    EXPECT_NO_THROW(balancer(with(row))) << row.field;
+  // Both boundaries of the open interval are accepted.
+  for (const double theta :
+       {std::nextafter(0.0, 1.0), std::nextafter(1.0, 0.0)}) {
+    EXPECT_NO_THROW(solver(with(theta))) << theta;
+    EXPECT_NO_THROW(balancer(with(theta))) << theta;
   }
 }
 
