@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
   cfg.resilience.checkpoint_dir.clear();  // in-memory rollback only
   GravitySimulation victim(cfg, node(), set);
   victim.run(interval);  // establish a good checkpoint past step 0
-  victim.corrupt_force_for_test(set.size() / 2);
+  victim.problem().corrupt_force_for_test(set.size() / 2);
   StepRecord recovery;
   for (int i = 0; i < interval && !recovery.rolled_back; ++i)
     recovery = victim.step();

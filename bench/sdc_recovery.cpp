@@ -41,7 +41,7 @@
 #include <vector>
 
 #include "common.hpp"
-#include "core/problems.hpp"
+#include "core/simulation.hpp"
 #include "util/rng.hpp"
 
 using namespace afmm;
@@ -49,8 +49,8 @@ using namespace afmm::bench;
 
 namespace {
 
-EngineConfig base_config(int order, bool obs) {
-  EngineConfig cfg;
+SimulationConfig base_config(int order, bool obs) {
+  SimulationConfig cfg;
   cfg.fmm.order = order;
   cfg.tree.root_center = {0, 0, 0};
   cfg.tree.root_half = 8.0;
@@ -61,14 +61,14 @@ EngineConfig base_config(int order, bool obs) {
   return cfg;
 }
 
-GravityProblem make_problem(const EngineConfig& cfg, long n) {
+GravitySimulation make_simulation(const SimulationConfig& cfg, long n) {
   Rng rng(2013);
   PlummerOptions opt;
   opt.scale_radius = 1.0;
   opt.max_radius = 8.0;
-  auto set = plummer(static_cast<std::size_t>(n), rng, opt);
-  NodeSimulator node(system_a_cpu(10), GpuSystemConfig::uniform(2));
-  return GravityProblem(cfg.fmm, 1.0, 1e-3, std::move(node), std::move(set));
+  return GravitySimulation(
+      cfg, NodeSimulator(system_a_cpu(10), GpuSystemConfig::uniform(2)),
+      plummer(static_cast<std::size_t>(n), rng, opt));
 }
 
 bool same_bodies(const ParticleSet& a, const ParticleSet& b) {
@@ -100,12 +100,12 @@ int main(int argc, char** argv) {
       n, order, steps, t_expansion, t_bitflip, t_gpubatch, seed);
 
   // ---- fault-free reference ------------------------------------------------
-  const EngineConfig ref_cfg = base_config(order, /*obs=*/false);
-  GravityEngine reference(ref_cfg, make_problem(ref_cfg, n));
+  GravitySimulation reference =
+      make_simulation(base_config(order, /*obs=*/false), n);
   reference.run(steps);
 
   // ---- repair run: every surface armed, every corruption repaired locally --
-  EngineConfig rep_cfg = base_config(order, /*obs=*/false);
+  SimulationConfig rep_cfg = base_config(order, /*obs=*/false);
   rep_cfg.fmm.sdc.expansion_checks = true;
   rep_cfg.fmm.sdc.expansion_reaggregation = true;
   rep_cfg.fmm.sdc.p2p_checks = true;
@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
   rep_cfg.resilience.audit.interval = 1;
   rep_cfg.resilience.checkpoint_interval = steps / 4;
   rep_cfg.resilience.sdc_repair = true;
-  GravityEngine repair(rep_cfg, make_problem(rep_cfg, n));
+  GravitySimulation repair = make_simulation(rep_cfg, n);
 
   SdcReport rtally;
   for (int i = 0; i < steps; ++i) {
@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
     rtally.unrepaired += rec.sdc_unrepaired;
   }
   const bool repair_identical =
-      same_bodies(reference.problem().bodies(), repair.problem().bodies());
+      same_bodies(reference.bodies(), repair.bodies());
   std::printf(
       "repair run:   injected=%d detected=%d repaired=%d unrepaired=%d "
       "rollbacks=%d, final state %s reference\n",
@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
                          repair.rollbacks() == 0 && repair_identical;
 
   // ---- escalate run: P2P checksums disarmed, tripwire -> ladder -> rollback
-  EngineConfig esc_cfg = base_config(order, /*obs=*/true);
+  SimulationConfig esc_cfg = base_config(order, /*obs=*/true);
   esc_cfg.fmm.sdc.expansion_checks = true;  // expansion flip still repaired
   esc_cfg.faults.sdc_expansion(t_expansion)
       .bit_flip(t_bitflip)
@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
   esc_cfg.resilience.audit.momentum_rel_tol = 1e-4;
   esc_cfg.resilience.checkpoint_interval = steps / 4;
   esc_cfg.resilience.sdc_repair = true;
-  GravityEngine escal(esc_cfg, make_problem(esc_cfg, n));
+  GravitySimulation escal = make_simulation(esc_cfg, n);
 
   Table table({"step", "injected", "detected", "repaired", "unrepaired",
                "escalated", "audit_failed", "rolled_back", "restored",
@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
 
   const bool esc_finished = escal.steps_taken() == steps;
   const bool esc_identical =
-      same_bodies(reference.problem().bodies(), escal.problem().bodies());
+      same_bodies(reference.bodies(), escal.bodies());
   std::printf(
       "escalate run: injected=%d detected=%d repaired=%d unrepaired=%d "
       "escalated=%s sdc_rollbacks=%d, final state %s reference\n",

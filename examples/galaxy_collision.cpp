@@ -61,7 +61,7 @@ int run(int argc, char** argv) {
                   rec.step, rec.S, to_string(rec.state), rec.cpu_seconds,
                   rec.gpu_seconds, rec.lb_seconds, rec.stats.depth, sep);
   }
-  std::printf("final energy: %.6f\n", sim.total_energy());
+  std::printf("final energy: %.6f\n", sim.problem().total_energy());
   return 0;
 }
 

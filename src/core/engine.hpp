@@ -133,23 +133,15 @@ struct StepRecord {
   bool sdc_escalated = false;    // repair ladder exhausted -> rollback path
 };
 
+// Constructed only as the base of GravitySimulation / StokesSimulation,
+// which add their physics constructors and state accessors.
 template <class Problem>
 class SimulationEngine {
  public:
-  // Fresh run: builds the tree from the problem's bodies at the balancer's
-  // initial S, primes the state with one solve and sets up resilience and
-  // observability. Every constructor throws std::invalid_argument when
-  // config.dt is not finite or not > 0, or when config.resilience is
-  // invalid (ResilienceConfig::validate). This one also throws, naming the
-  // body index and its coordinates, when a body is not finite or lies
-  // outside the closed root cube config.tree.root_center +- root_half.
-  SimulationEngine(const EngineConfig& config, Problem problem);
-
-  // Resume from a checkpoint: the engine continues the EXACT trajectory the
-  // checkpointed run would have produced (config and machine must match the
-  // original run's). Throws std::invalid_argument on a kind mismatch.
-  SimulationEngine(const EngineConfig& config, Problem problem,
-                   const SimCheckpoint& ckpt);
+  // Neither copyable nor movable: the problem's solver and the balancer
+  // keep pointers to this engine's list cache and virtual clock.
+  SimulationEngine(const SimulationEngine&) = delete;
+  SimulationEngine& operator=(const SimulationEngine&) = delete;
 
   // Advance exactly one time step and return its record. With resilience
   // enabled the step is watchdog-guarded, audited on the configured cadence,
@@ -160,6 +152,8 @@ class SimulationEngine {
   // Run `n` steps, collecting records: a thin loop over step().
   std::vector<StepRecord> run(int n);
 
+  // The physics policy, including its test hooks (e.g.
+  // GravityProblem::corrupt_force_for_test).
   Problem& problem() { return problem_; }
   const Problem& problem() const { return problem_; }
   const AdaptiveOctree& tree() const { return tree_; }
@@ -204,8 +198,24 @@ class SimulationEngine {
   // Chaos hook: silent structural corruption for auditor/recovery tests.
   void corrupt_tree_for_test();
 
+ protected:
+  // Fresh run: builds the tree from the problem's bodies at the balancer's
+  // initial S, primes the state with one solve and sets up resilience and
+  // observability. Every constructor throws std::invalid_argument when
+  // config.dt is not finite or not > 0, or when config.resilience is
+  // invalid (ResilienceConfig::validate). This one also throws, naming the
+  // body index and its coordinates, when a body is not finite or lies
+  // outside the closed root cube config.tree.root_center +- root_half.
+  SimulationEngine(const EngineConfig& config, Problem problem);
+
+  // Resume from a checkpoint: the engine continues the EXACT trajectory the
+  // checkpointed run would have produced (config and machine must match the
+  // original run's). Throws std::invalid_argument on a kind mismatch.
+  SimulationEngine(const EngineConfig& config, Problem problem,
+                   const SimCheckpoint& ckpt);
+
  private:
-  // The wiring both public constructors share: validates the config and
+  // The wiring both constructors above share: validates the config and
   // connects the list cache. No tree, no solve, no resilience or obs yet.
   struct Unprimed {};
   SimulationEngine(Unprimed, const EngineConfig& config, Problem problem);

@@ -13,14 +13,13 @@ namespace afmm {
 GravityProblem::GravityProblem(const FmmConfig& fmm, double grav_const,
                                double softening, NodeSimulator node,
                                ParticleSet bodies)
-    : solver_(std::make_unique<GravitySolver>(fmm, std::move(node),
-                                               GravityKernel(softening))),
+    : solver_(fmm, std::move(node), GravityKernel(softening)),
       grav_const_(grav_const),
       softening_(softening),
       bodies_(std::move(bodies)) {}
 
 SolveOutcome GravityProblem::initial_solve(const AdaptiveOctree& tree) {
-  auto res = solver_->solve(tree, bodies_.positions, bodies_.masses);
+  auto res = solver_.solve(tree, bodies_.positions, bodies_.masses);
   accel_.resize(bodies_.size());
   for (std::size_t i = 0; i < bodies_.size(); ++i)
     accel_[i] = grav_const_ * res.gradient[i];
@@ -37,7 +36,7 @@ void GravityProblem::pre_solve(double dt) {
 }
 
 SolveOutcome GravityProblem::solve(const AdaptiveOctree& tree) {
-  pending_ = solver_->solve(tree, bodies_.positions, bodies_.masses);
+  pending_ = solver_.solve(tree, bodies_.positions, bodies_.masses);
   return *pending_;
 }
 
@@ -126,7 +125,7 @@ bool GravityProblem::repair_derived(const AdaptiveOctree& tree) {
   // positions/masses: re-running the step's deterministic solve reproduces
   // them bit for bit. The stored checksum (taken from clean state) is NOT
   // refreshed here -- the engine re-audits against it to prove the repair.
-  auto res = solver_->solve(tree, bodies_.positions, bodies_.masses);
+  auto res = solver_.solve(tree, bodies_.positions, bodies_.masses);
   for (std::size_t i = 0; i < bodies_.size(); ++i)
     accel_[i] = grav_const_ * res.gradient[i];
   potential_ = std::move(res.potential);
@@ -146,8 +145,7 @@ StokesProblem::StokesProblem(const FmmConfig& fmm, double epsilon,
                              double viscosity, NodeSimulator node,
                              std::vector<Vec3> positions,
                              ForceModel force_model)
-    : solver_(std::make_unique<StokesletSolver>(fmm, std::move(node),
-                                                 epsilon)),
+    : solver_(fmm, std::move(node), epsilon),
       epsilon_(epsilon),
       viscosity_(viscosity),
       force_model_(std::move(force_model)),
@@ -157,7 +155,7 @@ StokesProblem::StokesProblem(const FmmConfig& fmm, double epsilon,
 
 SolveOutcome StokesProblem::run_solver(const AdaptiveOctree& tree) {
   force_model_(positions_, forces_);
-  pending_ = solver_->solve(tree, positions_, forces_);
+  pending_ = solver_.solve(tree, positions_, forces_);
   // Snapshot the configuration this solve ran at: post_solve advects
   // positions_ away from it, and the sampled direct-sum audit must compare
   // velocities against THESE positions/forces.

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -38,10 +37,10 @@ class GravityProblem {
   GravityProblem(const FmmConfig& fmm, double grav_const, double softening,
                  NodeSimulator node, ParticleSet bodies);
 
-  NodeSimulator& node() { return solver_->node(); }
-  const NodeSimulator& node() const { return solver_->node(); }
+  NodeSimulator& node() { return solver_.node(); }
+  const NodeSimulator& node() const { return solver_.node(); }
   void set_list_cache(InteractionListCache* cache) {
-    solver_->set_list_cache(cache);
+    solver_.set_list_cache(cache);
   }
   std::span<const Vec3> positions() const { return bodies_.positions; }
   std::size_t size() const { return bodies_.size(); }
@@ -85,10 +84,7 @@ class GravityProblem {
  private:
   std::uint64_t compute_state_checksum() const;
   void refresh_state_checksum() { state_checksum_ = compute_state_checksum(); }
-  // Behind a unique_ptr because the solver's ExpansionContext is not
-  // address-stable (LaplaceDerivatives references a sibling member), while
-  // Problems are moved into the engine at construction.
-  std::unique_ptr<GravitySolver> solver_;
+  GravitySolver solver_;
   double grav_const_;
   double softening_;
   ParticleSet bodies_;
@@ -118,10 +114,10 @@ class StokesProblem {
                 NodeSimulator node, std::vector<Vec3> positions,
                 ForceModel force_model);
 
-  NodeSimulator& node() { return solver_->node(); }
-  const NodeSimulator& node() const { return solver_->node(); }
+  NodeSimulator& node() { return solver_.node(); }
+  const NodeSimulator& node() const { return solver_.node(); }
   void set_list_cache(InteractionListCache* cache) {
-    solver_->set_list_cache(cache);
+    solver_.set_list_cache(cache);
   }
   std::span<const Vec3> positions() const { return positions_; }
   std::size_t size() const { return positions_.size(); }
@@ -153,7 +149,7 @@ class StokesProblem {
   std::uint64_t compute_state_checksum() const;
   void refresh_state_checksum() { state_checksum_ = compute_state_checksum(); }
 
-  std::unique_ptr<StokesletSolver> solver_;  // see GravityProblem::solver_
+  StokesletSolver solver_;
   double epsilon_;
   double viscosity_;
   ForceModel force_model_;
@@ -173,8 +169,5 @@ class StokesProblem {
 // The engine is explicitly instantiated for both problems in engine.cpp.
 extern template class SimulationEngine<GravityProblem>;
 extern template class SimulationEngine<StokesProblem>;
-
-using GravityEngine = SimulationEngine<GravityProblem>;
-using StokesEngine = SimulationEngine<StokesProblem>;
 
 }  // namespace afmm

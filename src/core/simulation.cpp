@@ -6,16 +6,18 @@ namespace afmm {
 
 GravitySimulation::GravitySimulation(const SimulationConfig& config,
                                      NodeSimulator node, ParticleSet bodies)
-    : engine_(config,
-              GravityProblem(config.fmm, config.grav_const, config.softening,
-                             std::move(node), std::move(bodies))) {}
+    : SimulationEngine(config,
+                       GravityProblem(config.fmm, config.grav_const,
+                                      config.softening, std::move(node),
+                                      std::move(bodies))) {}
 
 GravitySimulation::GravitySimulation(const SimulationConfig& config,
                                      NodeSimulator node,
                                      const SimCheckpoint& ckpt)
-    : engine_(config,
-              GravityProblem(config.fmm, config.grav_const, config.softening,
-                             std::move(node), ParticleSet{}),
-              ckpt) {}
+    : SimulationEngine(config,
+                       GravityProblem(config.fmm, config.grav_const,
+                                      config.softening, std::move(node),
+                                      ParticleSet{}),
+                       ckpt) {}
 
 }  // namespace afmm

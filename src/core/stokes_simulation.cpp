@@ -8,18 +8,20 @@ StokesSimulation::StokesSimulation(const StokesSimulationConfig& config,
                                    NodeSimulator node,
                                    std::vector<Vec3> positions,
                                    ForceModel force_model)
-    : engine_(config,
-              StokesProblem(config.fmm, config.epsilon, config.viscosity,
-                            std::move(node), std::move(positions),
-                            std::move(force_model))) {}
+    : SimulationEngine(config,
+                       StokesProblem(config.fmm, config.epsilon,
+                                     config.viscosity, std::move(node),
+                                     std::move(positions),
+                                     std::move(force_model))) {}
 
 StokesSimulation::StokesSimulation(const StokesSimulationConfig& config,
                                    NodeSimulator node,
                                    const SimCheckpoint& ckpt,
                                    ForceModel force_model)
-    : engine_(config,
-              StokesProblem(config.fmm, config.epsilon, config.viscosity,
-                            std::move(node), {}, std::move(force_model)),
-              ckpt) {}
+    : SimulationEngine(config,
+                       StokesProblem(config.fmm, config.epsilon,
+                                     config.viscosity, std::move(node), {},
+                                     std::move(force_model)),
+                       ckpt) {}
 
 }  // namespace afmm

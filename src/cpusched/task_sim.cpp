@@ -1,35 +1,22 @@
 #include "cpusched/task_sim.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <queue>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "util/config_check.hpp"
+
 namespace afmm {
 namespace {
 
-void check_duration(double seconds) {
-  // !(x >= 0) also catches NaN.
-  if (!std::isfinite(seconds) || !(seconds >= 0.0))
-    throw std::invalid_argument(
-        "TaskGraphSim: task duration must be finite and >= 0, got " +
-        std::to_string(seconds));
-}
-
-void check_overhead(double seconds) {
-  if (!std::isfinite(seconds) || !(seconds >= 0.0))
-    throw std::invalid_argument(
-        "TaskGraphSim: per_task_overhead_seconds must be finite and >= 0, "
-        "got " +
-        std::to_string(seconds));
-}
+const ConfigCheck kCheck("TaskGraphSim");
 
 }  // namespace
 
 int TaskGraphSim::add_task(double seconds) {
-  check_duration(seconds);
+  kCheck.non_negative("seconds", seconds);
   duration_.push_back(seconds);
   out_edges_.emplace_back();
   in_degree_.push_back(0);
@@ -57,7 +44,7 @@ double TaskGraphSim::total_work() const {
 }
 
 double TaskGraphSim::critical_path(double per_task_overhead_seconds) const {
-  check_overhead(per_task_overhead_seconds);
+  kCheck.non_negative("per_task_overhead_seconds", per_task_overhead_seconds);
   // Kahn order; dist[t] = longest finishing time ending at t.
   std::vector<int> indeg = in_degree_;
   std::vector<double> dist(duration_.size(), 0.0);
@@ -84,10 +71,8 @@ double TaskGraphSim::critical_path(double per_task_overhead_seconds) const {
 
 double TaskGraphSim::makespan(int workers, double per_task_overhead_seconds,
                               std::vector<Scheduled>* schedule) const {
-  if (workers < 1)
-    throw std::invalid_argument("TaskGraphSim: workers must be >= 1, got " +
-                                std::to_string(workers));
-  check_overhead(per_task_overhead_seconds);
+  kCheck.at_least("workers", workers, 1);
+  kCheck.non_negative("per_task_overhead_seconds", per_task_overhead_seconds);
   if (schedule) schedule->clear();
   const std::size_t n = duration_.size();
   if (n == 0) return 0.0;

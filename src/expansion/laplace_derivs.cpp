@@ -2,11 +2,13 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace afmm {
 
-LaplaceDerivatives::LaplaceDerivatives(const MultiIndexSet& set) : set_(set) {}
+LaplaceDerivatives::LaplaceDerivatives(MultiIndexSet set)
+    : set_(std::move(set)) {}
 
 void LaplaceDerivatives::evaluate(const Vec3& r, double* out) const {
   const int q = set_.max_order();

@@ -17,8 +17,8 @@ namespace afmm {
 
 class LaplaceDerivatives {
  public:
-  // `set` must outlive this object; its max_order() is the derivative order Q.
-  explicit LaplaceDerivatives(const MultiIndexSet& set);
+  // `set`'s max_order() is the derivative order Q.
+  explicit LaplaceDerivatives(MultiIndexSet set);
 
   // Fills out[idx] = D^alpha(1/|r|)(r) for each idx in the set.
   // `out` must have set.size() entries. r must be nonzero.
@@ -27,7 +27,7 @@ class LaplaceDerivatives {
   const MultiIndexSet& set() const { return set_; }
 
  private:
-  const MultiIndexSet& set_;
+  MultiIndexSet set_;
   // Scratch sized (Q+1) * set.size(); mutable via thread_local in evaluate.
 };
 

@@ -22,8 +22,7 @@ int checked_order(int order) {
 ExpansionContext::ExpansionContext(int order)
     : p_(checked_order(order)),
       set_p_(order),
-      set_q_(2 * order >= order + 1 ? 2 * order : order + 1),
-      derivs_(set_q_) {
+      derivs_(MultiIndexSet(2 * order >= order + 1 ? 2 * order : order + 1)) {
 
   const int n = set_p_.size();
 
@@ -45,7 +44,7 @@ ExpansionContext::ExpansionContext(int order)
     const auto& b = set_p_[beta];
     for (int alpha = 0; alpha < n; ++alpha) {
       const auto& a = set_p_[alpha];
-      const int sum = set_q_.find(a.i + b.i, a.j + b.j, a.k + b.k);
+      const int sum = set_q().find(a.i + b.i, a.j + b.j, a.k + b.k);
       m2l_pairs_.push_back({beta, alpha, sum});
     }
   }
@@ -56,10 +55,10 @@ ExpansionContext::ExpansionContext(int order)
   for (int idx = 0; idx < n; ++idx) {
     const auto& a = set_p_[idx];
     sign_[idx] = (a.order() % 2 == 0) ? 1.0 : -1.0;
-    lift_[idx] = set_q_.find(a.i, a.j, a.k);
-    lift_add_[0][idx] = set_q_.find(a.i + 1, a.j, a.k);
-    lift_add_[1][idx] = set_q_.find(a.i, a.j + 1, a.k);
-    lift_add_[2][idx] = set_q_.find(a.i, a.j, a.k + 1);
+    lift_[idx] = set_q().find(a.i, a.j, a.k);
+    lift_add_[0][idx] = set_q().find(a.i + 1, a.j, a.k);
+    lift_add_[1][idx] = set_q().find(a.i, a.j + 1, a.k);
+    lift_add_[2][idx] = set_q().find(a.i, a.j, a.k + 1);
   }
 }
 
@@ -100,7 +99,7 @@ PointValue ExpansionContext::m2p(const Vec3& center, const double* M,
                                  const Vec3& x) const {
   const int n = ncoef();
   thread_local std::vector<double> T;
-  T.resize(set_q_.size());
+  T.resize(set_q().size());
   derivs_.evaluate(x - center, T.data());
 
   PointValue out;
@@ -126,7 +125,7 @@ void ExpansionContext::m2l(const Vec3& src, const Vec3& dst, const double* M,
                            double* L) const {
   thread_local std::vector<double> T;
   thread_local std::vector<double> Ms;
-  T.resize(set_q_.size());
+  T.resize(set_q().size());
   Ms.resize(ncoef());
   derivs_.evaluate(dst - src, T.data());
   for (int a = 0; a < ncoef(); ++a) Ms[a] = sign_[a] * M[a];
@@ -138,7 +137,7 @@ void ExpansionContext::m2l_multi(const Vec3& src, const Vec3& dst,
                                  int stride) const {
   thread_local std::vector<double> T;
   thread_local std::vector<double> Ms;
-  T.resize(set_q_.size());
+  T.resize(set_q().size());
   Ms.resize(ncoef());
   derivs_.evaluate(dst - src, T.data());
   for (int r = 0; r < nrhs; ++r) {

@@ -31,11 +31,11 @@ class ExpansionContext {
  public:
   explicit ExpansionContext(int order);
 
-  // Not address-stable: derivs_ references set_q_, so a moved/copied context
-  // would evaluate through a dangling reference. Holders that must move own
-  // the context behind a pointer (see core/problems.hpp).
+  // Move-only: no holder needs a second copy of the operator tables.
   ExpansionContext(const ExpansionContext&) = delete;
   ExpansionContext& operator=(const ExpansionContext&) = delete;
+  ExpansionContext(ExpansionContext&&) = default;
+  ExpansionContext& operator=(ExpansionContext&&) = default;
 
   int order() const { return p_; }
   // Number of coefficients per expansion (multipole and local alike).
@@ -108,15 +108,16 @@ class ExpansionContext {
   double flops_l2l() const { return flops_m2m(); }
   double flops_m2l() const {
     // Derivative tensor build + the dense (alpha, beta) contraction.
-    return 4.0 * set_q_.size() * (set_q_.max_order() + 1) / 2.0 +
+    return 4.0 * set_q().size() * (set_q().max_order() + 1) / 2.0 +
            2.0 * static_cast<double>(m2l_pairs_.size());
   }
 
  private:
   int p_;
   MultiIndexSet set_p_;  // expansion indices, order p
-  MultiIndexSet set_q_;  // derivative indices, order 2p (covers M2L and M2P)
+  // Owns the derivative indices, order 2p (covers M2L and M2P).
   LaplaceDerivatives derivs_;
+  const MultiIndexSet& set_q() const { return derivs_.set(); }
 
   // (hi, lo, shift) with lo <= hi componentwise, shift = hi - lo.
   struct Triple {
@@ -130,12 +131,12 @@ class ExpansionContext {
   struct M2LPair {
     int beta;
     int alpha;
-    int sum;  // index of alpha + beta in set_q_
+    int sum;  // index of alpha + beta in set_q()
   };
   std::vector<M2LPair> m2l_pairs_;
   std::vector<double> sign_;        // (-1)^|alpha| over set_p_
-  std::vector<int> lift_;           // set_p_ index -> set_q_ index (same alpha)
-  std::vector<int> lift_add_[3];    // set_p_ alpha -> set_q_ index of alpha+e_d
+  std::vector<int> lift_;           // set_p_ index -> set_q() index (same alpha)
+  std::vector<int> lift_add_[3];    // set_p_ alpha -> set_q() index of alpha+e_d
 };
 
 }  // namespace afmm

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/config_check.hpp"
+#include "util/rng.hpp"
 
 namespace afmm {
 
@@ -15,17 +16,6 @@ void TransferLinkConfig::validate() const {
   check.non_negative("backoff_base_us", backoff_base_us);
   check.non_negative("backoff_multiplier", backoff_multiplier);
 }
-
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 bool TransferFaultModel::attempt_fails(std::uint64_t key, int attempt) const {
   if (fail_prob <= 0.0) return false;

@@ -192,7 +192,6 @@ class AdaptiveOctree {
 
   void partition_range(std::uint32_t begin, std::uint32_t end,
                        const Vec3& center, std::uint32_t bucket_begin[9]);
-  void rebin_node(int node);
   int allocate_children(int node);
   void repartition_into_children(int node);
 

@@ -22,20 +22,14 @@
 #include <cstdint>
 #include <cstring>
 
-namespace afmm {
+#include "util/rng.hpp"
 
-// splitmix64 -- the same generator faults/ and gpusim/ already use for
-// deterministic draws; duplicated here so sdc/ stays standalone.
-inline std::uint64_t sdc_mix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
+namespace afmm {
 
 // Deterministic pick of an index in [0, n). n must be > 0.
 inline std::size_t sdc_pick(std::uint64_t seed, std::size_t n) {
-  return static_cast<std::size_t>(sdc_mix(seed) % static_cast<std::uint64_t>(n));
+  return static_cast<std::size_t>(splitmix64(seed) %
+                                  static_cast<std::uint64_t>(n));
 }
 
 // FNV-1a over raw bytes. Hashing object representations is well-defined here
@@ -120,12 +114,6 @@ struct SdcReport {
   int detected = 0;    // corruption events caught by a detector
   int repaired = 0;    // surgical repairs verified bit-exact
   int unrepaired = 0;  // detections whose local repair failed verification
-  void merge(const SdcReport& o) {
-    injected += o.injected;
-    detected += o.detected;
-    repaired += o.repaired;
-    unrepaired += o.unrepaired;
-  }
 };
 
 // Hook bundle threaded into a detection surface (P2P executor, far field).

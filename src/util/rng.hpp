@@ -11,12 +11,23 @@
 
 namespace afmm {
 
+// The splitmix64 output for generator state `x`: advance by the golden-ratio
+// increment, then mix. Stateless, so it also folds (seed, key) pairs into
+// fresh deterministic draws without carrying generator state.
+inline std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull) {
-    // Seed the 256-bit state with splitmix64, as recommended by the authors.
-    std::uint64_t x = seed;
-    for (auto& word : s_) word = splitmix64(x);
+    // Seed the 256-bit state with a splitmix64 stream, as recommended by the
+    // authors: word i is splitmix64's output at state seed + i * increment.
+    for (std::uint64_t i = 0; i < 4; ++i)
+      s_[i] = splitmix64(seed + i * 0x9e3779b97f4a7c15ull);
   }
 
   std::uint64_t next_u64() {
@@ -54,14 +65,6 @@ class Rng {
   std::array<std::uint64_t, 4> state() const { return {s_[0], s_[1], s_[2], s_[3]}; }
   void set_state(const std::array<std::uint64_t, 4>& s) {
     for (int i = 0; i < 4; ++i) s_[i] = s[i];
-  }
-
-  static std::uint64_t splitmix64(std::uint64_t& x) {
-    x += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
   }
 
  private:

@@ -59,7 +59,7 @@ TEST(Auditor, TreeAuditCatchesBrokenParentLink) {
 TEST(Auditor, FiniteAuditCatchesNanForce) {
   GravitySimulation sim(base_config(), default_node(), test_bodies());
   sim.run(2);
-  sim.corrupt_force_for_test(17);
+  sim.problem().corrupt_force_for_test(17);
   const auto report = sim.run_audit();
   EXPECT_FALSE(report.ok());
   EXPECT_NE(report.summary().find("accel"), std::string::npos)
@@ -195,7 +195,7 @@ TEST(Recovery, NanForceRollsBackAndReentersSearch) {
   sim.run(6);
   ASSERT_EQ(sim.rollbacks(), 0);
 
-  sim.corrupt_force_for_test(3);
+  sim.problem().corrupt_force_for_test(3);
   const auto rec = sim.step();
   EXPECT_TRUE(rec.audited);
   EXPECT_TRUE(rec.audit_failed);
@@ -234,7 +234,7 @@ TEST(Recovery, RollbackDisabledOnlyRecords) {
   cfg.resilience.rollback_on_failure = false;
   GravitySimulation sim(cfg, default_node(), test_bodies());
   sim.run(3);
-  sim.corrupt_force_for_test(3);
+  sim.problem().corrupt_force_for_test(3);
   const auto rec = sim.step();
   EXPECT_TRUE(rec.audit_failed);
   EXPECT_FALSE(rec.rolled_back);

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -199,6 +200,25 @@ TEST(TaskSim, RejectsBadOverhead) {
   EXPECT_THROW(g.makespan(1, -1e-9), std::invalid_argument);
   EXPECT_THROW(g.makespan(1, std::nan("")), std::invalid_argument);
   EXPECT_THROW(g.critical_path(std::nan("")), std::invalid_argument);
+}
+
+TEST(TaskSim, RejectionNamesTheFieldAndValue) {
+  TaskGraphSim g;
+  const auto message = [](auto call) -> std::string {
+    try {
+      call();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  EXPECT_EQ(message([&] { g.add_task(-1.0); }),
+            "TaskGraphSim: seconds must be finite and >= 0, got -1");
+  EXPECT_EQ(message([&] { g.critical_path(-1.0); }),
+            "TaskGraphSim: per_task_overhead_seconds must be finite and >= 0, "
+            "got -1");
+  EXPECT_EQ(message([&] { g.makespan(0); }),
+            "TaskGraphSim: workers must be >= 1, got 0");
 }
 
 TEST(TaskSim, RejectsBadDependencies) {

@@ -10,16 +10,21 @@
 //     bit-for-bit) and deterministic (two obs-on runs emit identical bytes);
 //   * StepRecord parity: both problems populate the prediction / resilience
 //     fields on the same cadence, so downstream consumers (benches, the step
-//     emitter) need no per-problem cases.
+//     emitter) need no per-problem cases;
+//   * neither simulation can be copied or moved, and both step degenerate
+//     body sets (empty, one body, a pair, coincident bodies) finitely.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <numbers>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/simulation.hpp"
@@ -27,6 +32,9 @@
 #include "dist/distributions.hpp"
 #include "golden_gravity.hpp"
 #include "golden_stokes.hpp"
+#include "kernels/gravity.hpp"
+#include "kernels/stokeslet.hpp"
+#include "state/auditor.hpp"
 #include "util/rng.hpp"
 
 namespace afmm {
@@ -478,6 +486,101 @@ TEST(Engine, StepRecordParityAcrossProblems) {
   };
   static_assert(sizeof(StepRecord) == sizeof(Expected),
                 "StepRecord changed: update the parity test and golden dump");
+}
+
+// The engine hands pointers to its own members (the list cache, the virtual
+// clock) to its problem and balancer, so a copied or moved simulation would
+// keep stepping through the original's.
+static_assert(!std::is_copy_constructible_v<GravitySimulation> &&
+              !std::is_move_constructible_v<GravitySimulation>);
+static_assert(!std::is_copy_constructible_v<StokesSimulation> &&
+              !std::is_move_constructible_v<StokesSimulation>);
+
+// Empty, single-body, pair and coincident body sets, each stepped 3 times
+// on 4 cores and 2 GPUs.
+struct DegenerateSet {
+  const char* name;
+  std::vector<Vec3> positions;
+};
+
+std::vector<DegenerateSet> degenerate_sets() {
+  return {{"empty", {}},
+          {"one body", {{0.5, 0.5, 0.5}}},
+          {"pair", {{0.3, 0.4, 0.5}, {0.7, 0.6, 0.45}}},
+          {"100 coincident", std::vector<Vec3>(100, Vec3{0.5, 0.5, 0.5})}};
+}
+
+NodeSimulator four_cores_two_gpus() {
+  CpuModelConfig cpu;
+  cpu.num_cores = 4;
+  return NodeSimulator(cpu, GpuSystemConfig::uniform(2));
+}
+
+// "ok", or the first non-finite position or velocity.
+std::string finite_state(std::span<const Vec3> positions,
+                         std::span<const Vec3> velocities) {
+  AuditReport report;
+  audit_finite(positions, "position", report);
+  audit_finite(velocities, "velocity", report);
+  return report.summary();
+}
+
+void expect_near_vec(const Vec3& got, const Vec3& want, const char* name) {
+  const double tol = 1e-12 * norm(want);
+  EXPECT_NEAR(got.x, want.x, tol) << name;
+  EXPECT_NEAR(got.y, want.y, tol) << name;
+  EXPECT_NEAR(got.z, want.z, tol) << name;
+}
+
+TEST(Engine, GravityDegenerateBodySetsStayFinite) {
+  for (const DegenerateSet& d : degenerate_sets()) {
+    const std::size_t n = d.positions.size();
+    SimulationConfig cfg;
+    ParticleSet set;
+    set.positions = d.positions;
+    set.velocities.assign(n, Vec3{});
+    set.masses.assign(n, 1.0);
+    GravitySimulation sim(cfg, four_cores_two_gpus(), set);
+    sim.run(3);
+    ASSERT_EQ(sim.bodies().size(), n) << d.name;
+    EXPECT_EQ(finite_state(sim.bodies().positions, sim.bodies().velocities),
+              "ok")
+        << d.name;
+    if (n != 2) continue;
+    // The last solve ran at the current positions (the closing half kick
+    // moves only velocities).
+    const auto direct = gravity_direct_all(GravityKernel(cfg.softening),
+                                           sim.bodies().positions,
+                                           sim.bodies().masses);
+    const auto accel = sim.checkpoint().accel;
+    for (std::size_t i = 0; i < n; ++i)
+      expect_near_vec(accel[i], cfg.grav_const * direct[i].grad, d.name);
+  }
+}
+
+TEST(Engine, StokesDegenerateBodySetsStayFinite) {
+  for (const DegenerateSet& d : degenerate_sets()) {
+    const std::size_t n = d.positions.size();
+    auto cfg = stokes_config();
+    const Vec3 force{0, 0, -1};
+    StokesSimulation sim(cfg, four_cores_two_gpus(), d.positions,
+                         constant_force(force));
+    sim.run(2);
+    // The last step solves at these positions, then advects away from them.
+    const std::vector<Vec3> solved_at = sim.positions();
+    sim.step();
+    ASSERT_EQ(sim.positions().size(), n) << d.name;
+    EXPECT_EQ(finite_state(sim.positions(), sim.velocities()), "ok")
+        << d.name;
+    if (n != 2) continue;
+    const std::vector<Vec3> forces(n, force);
+    const auto direct = stokeslet_direct_all(StokesletKernel(cfg.epsilon),
+                                             solved_at, forces);
+    const double mobility =
+        1.0 / (8.0 * std::numbers::pi_v<double> * cfg.viscosity);
+    for (std::size_t i = 0; i < n; ++i)
+      expect_near_vec(sim.velocities()[i], mobility * direct[i].u, d.name);
+  }
 }
 
 }  // namespace

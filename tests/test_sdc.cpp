@@ -247,7 +247,7 @@ TEST(Sdc, PrimaryStateCorruptionDetectedWithinOneAudit) {
 
   // One flipped mantissa bit in one velocity component: numerically tiny,
   // structurally invisible, caught only by the state checksum.
-  sim.corrupt_velocity_for_test(7);
+  sim.problem().corrupt_velocity_for_test(7);
   const auto report = sim.run_audit();
   EXPECT_FALSE(report.ok());
   EXPECT_NE(report.summary().find("state checksum mismatch"),

@@ -42,11 +42,11 @@ TEST(Simulation, BinaryOrbitConservesEnergyAndRadius) {
   auto cfg = base_config();
   cfg.dt = 2e-3;
   GravitySimulation sim(cfg, default_node(), circular_binary());
-  const double e0 = sim.total_energy();
+  const double e0 = sim.problem().total_energy();
   // Orbit period T = 2 pi d^(3/2) / sqrt(G M) = 2 pi; integrate one period.
   const int steps = static_cast<int>(2 * std::numbers::pi_v<double> / cfg.dt);
   sim.run(steps);
-  const double e1 = sim.total_energy();
+  const double e1 = sim.problem().total_energy();
   EXPECT_NEAR(e1, e0, 1e-4 * std::abs(e0));
   // Separation must return near 1.
   const double d = norm(sim.bodies().positions[1] - sim.bodies().positions[0]);
@@ -95,9 +95,9 @@ TEST(Simulation, EnergyDriftBoundedOnWarmPlummer) {
   cfg.softening = 0.02;
   cfg.dt = 5e-4;
   GravitySimulation sim(cfg, default_node(), set);
-  const double e0 = sim.total_energy();
+  const double e0 = sim.problem().total_energy();
   sim.run(40);
-  const double e1 = sim.total_energy();
+  const double e1 = sim.problem().total_energy();
   EXPECT_LT(std::abs(e1 - e0) / std::abs(e0), 0.02);
 }
 
