@@ -259,7 +259,7 @@ StepRecord SimulationEngine<Problem>::step_core() {
     obs.times = res.times;
     obs.gpu = res.gpu;
     obs.faults = std::move(fired);
-    if (config_.obs.wall_ops) obs.wall = res.real_timings;
+    obs.wall = res.real_timings;  // set only under fmm.collect_real_timings
     obs.rebin_seconds = rebin_s;
     pending_obs_.emplace(std::move(obs));
   }

@@ -281,26 +281,23 @@ typename FmmSolver<Kernel>::Fields FmmSolver<Kernel>::solve_fields(
   // fault injector left pending in the node's health registry.
   const SdcDetectConfig& det = far_.config().sdc;
   const SdcPending pending = node_.health().sdc;
+  // Both surfaces skip their SDC work when nothing is armed.
   const SdcHooks far_hooks{&det, pending.expansion, pending.expansion_seed,
                            &out.sdc};
-  const bool arm_far = det.expansion_checks || det.expansion_reaggregation ||
-                       pending.expansion;
   const SdcHooks p2p_hooks{&det, pending.gpu_batch, pending.gpu_batch_seed,
                            &out.sdc};
-  const bool arm_p2p =
-      det.p2p_checks || det.p2p_verify_stride > 0 || pending.gpu_batch;
 
   if (far_.config().collect_real_timings)
     out.real_timings = std::make_shared<OpTimers>();
 
   Fields fields;
   far_.evaluate(tree, lists, rhs, fields.far, out.real_timings.get(),
-                arm_far ? &far_hooks : nullptr);
+                &far_hooks);
   fields.near.resize(tree.num_bodies());
   out.gpu = run_p2p(tree, lists.p2p, kernel_, sources, tree.perm(),
                     node_.gpus(),
                     std::span<typename Kernel::Accum>(fields.near),
-                    &node_.health(), arm_p2p ? &p2p_hooks : nullptr);
+                    &node_.health(), &p2p_hooks);
 
   out.times = node_.simulate_far_field(far_.context(), tree, lists, passes);
   node_.charge_near_field(out.gpu, out.times);

@@ -32,20 +32,11 @@ inline std::size_t sdc_pick(std::uint64_t seed, std::size_t n) {
                                   static_cast<std::uint64_t>(n));
 }
 
-// FNV-1a over raw bytes. Hashing object representations is well-defined here
+// FNV-1a over raw bytes: sdc_checksum_bytes hashes one buffer and
+// sdc_checksum_extend accumulates another buffer into an existing checksum
+// (order-sensitive). Hashing object representations is well-defined here
 // because every hashed buffer is made of padding-free double/Vec3 aggregates
 // (or was value-initialized before element-wise assignment).
-inline std::uint64_t sdc_checksum_bytes(const void* data, std::size_t bytes) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
-// Accumulate another buffer into an existing checksum (order-sensitive).
 inline std::uint64_t sdc_checksum_extend(std::uint64_t h, const void* data,
                                          std::size_t bytes) {
   const unsigned char* p = static_cast<const unsigned char*>(data);
@@ -54,6 +45,10 @@ inline std::uint64_t sdc_checksum_extend(std::uint64_t h, const void* data,
     h *= 0x100000001B3ull;
   }
   return h;
+}
+
+inline std::uint64_t sdc_checksum_bytes(const void* data, std::size_t bytes) {
+  return sdc_checksum_extend(0xCBF29CE484222325ull, data, bytes);
 }
 
 // Flip one mantissa/exponent bit of a double in place. Bits 32..61 keep the
@@ -78,7 +73,6 @@ struct SdcPending {
   std::uint64_t gpu_batch_seed = 0;
   std::uint64_t expansion_seed = 0;
 
-  bool any() const { return bit_flip || gpu_batch || expansion; }
   void clear() { *this = SdcPending{}; }
 };
 
@@ -101,11 +95,6 @@ struct SdcDetectConfig {
   // Every Nth P2P batch additionally re-evaluates its first target body on
   // the CPU and requires a bitwise match (0 = off).
   int p2p_verify_stride = 0;
-
-  bool any() const {
-    return expansion_checks || expansion_reaggregation || p2p_checks ||
-           p2p_verify_stride > 0;
-  }
 };
 
 // Tally of SDC activity inside one solve (or one step).

@@ -3,6 +3,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <concepts>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -10,6 +12,7 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <type_traits>
 
 #include "state/serial.hpp"
 #include "util/config_check.hpp"
@@ -20,263 +23,249 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// ---- field-level encoders/decoders ----------------------------------------
+// ---- field lists ----------------------------------------------------------
 //
-// Every get_* reads through ByteReader, which is bounds-checked: a short
-// payload latches the reader's fail flag instead of reading garbage.
+// Each record lists its fields exactly once, in wire order, through
+// `fields(a, record)`. The same list runs through WriteArchive to encode and
+// through ReadArchive to decode, so the two directions cannot drift apart.
+// A record is passed const when writing and mutable when reading.
 
-void put_vec3(ByteWriter& w, const Vec3& v) {
-  w.f64(v.x);
-  w.f64(v.y);
-  w.f64(v.z);
+template <class V, class T>
+concept RecordOf = std::same_as<std::remove_const_t<V>, T>;
+
+template <class A, RecordOf<Vec3> V>
+void fields(A& a, V& v) {
+  a(v.x, v.y, v.z);
 }
 
-Vec3 get_vec3(ByteReader& r) {
-  Vec3 v;
-  v.x = r.f64();
-  v.y = r.f64();
-  v.z = r.f64();
-  return v;
+template <class A, RecordOf<OpCounts> V>
+void fields(A& a, V& c) {
+  a(c.p2m, c.p2m_bodies, c.m2m, c.m2l, c.l2l, c.l2p, c.l2p_bodies,
+    c.p2p_interactions, c.p2p_node_pairs);
 }
 
-void put_vec3s(ByteWriter& w, const std::vector<Vec3>& v) {
-  w.u64(v.size());
-  for (const auto& x : v) put_vec3(w, x);
+template <class A, RecordOf<ObservedStepTimes> V>
+void fields(A& a, V& t) {
+  a(t.cpu_seconds, t.gpu_seconds, t.cpu_p2p_seconds, t.transfer_retries,
+    t.counts, t.t_p2m, t.t_m2m, t.t_m2l, t.t_l2l, t.t_l2p);
 }
 
-// Length-prefixed vectors validate the count against the bytes actually
-// remaining, so a corrupt length can never balloon an allocation.
-bool get_vec3s(ByteReader& r, std::vector<Vec3>& out) {
-  const std::uint64_t n = r.u64();
-  if (n * 24 > r.remaining()) return false;
-  out.resize(n);
-  for (auto& x : out) x = get_vec3(r);
-  return r.ok();
+template <class A, RecordOf<OctreeNode> V>
+void fields(A& a, V& n) {
+  a(n.center, n.half, n.parent, n.children, n.has_children, n.level,
+    n.collapsed, n.begin, n.count);
 }
 
-void put_f64s(ByteWriter& w, const std::vector<double>& v) {
-  w.u64(v.size());
-  for (double x : v) w.f64(x);
+template <class A, RecordOf<OctreeSnapshot> V>
+void fields(A& a, V& t) {
+  a(t.config.leaf_capacity, t.config.max_depth, t.config.root_center,
+    t.config.root_half, t.nodes, t.sorted_pos, t.perm);
 }
 
-bool get_f64s(ByteReader& r, std::vector<double>& out) {
-  const std::uint64_t n = r.u64();
-  if (n * 8 > r.remaining()) return false;
-  out.resize(n);
-  for (auto& x : out) x = r.f64();
-  return r.ok();
+template <class A, RecordOf<LoadBalancerSnapshot> V>
+void fields(A& a, V& b) {
+  a.bounded(b.state, LbState::kObservation);
+  a(b.S, b.search_lo, b.search_hi, b.search_steps, b.last_dominant,
+    b.best_compute, b.reset_best_next, b.last_epoch, b.epoch_pending);
+  auto& c = b.model.coefficients;
+  a(c.p2m_per_body, c.m2m, c.m2l, c.l2l, c.l2p_per_body, c.p2p, c.p2p_cpu,
+    c.cpu_efficiency, b.model.observations);
 }
 
-void put_u64s(ByteWriter& w, const std::vector<std::uint64_t>& v) {
-  w.u64(v.size());
-  for (auto x : v) w.u64(x);
+template <class A, RecordOf<GpuHealth> V>
+void fields(A& a, V& g) {
+  a(g.alive, g.clock_scale);
 }
 
-bool get_u64s(ByteReader& r, std::vector<std::uint64_t>& out) {
-  const std::uint64_t n = r.u64();
-  if (n * 8 > r.remaining()) return false;
-  out.resize(n);
-  for (auto& x : out) x = r.u64();
-  return r.ok();
+template <class A, RecordOf<MachineHealth> V>
+void fields(A& a, V& h) {
+  a(h.gpus, h.cpu_cores_available, h.cpu_cores_provisioned,
+    h.transfer_fault_prob, h.transfer_seed, h.fault_epoch);
 }
 
-void put_op_counts(ByteWriter& w, const OpCounts& c) {
-  w.u64(c.p2m);
-  w.u64(c.p2m_bodies);
-  w.u64(c.m2m);
-  w.u64(c.m2l);
-  w.u64(c.l2l);
-  w.u64(c.l2p);
-  w.u64(c.l2p_bodies);
-  w.u64(c.p2p_interactions);
-  w.u64(c.p2p_node_pairs);
+template <class A, RecordOf<FaultInjectorSnapshot> V>
+void fields(A& a, V& i) {
+  a(i.next_event, i.transfer_window_end, i.num_events, i.fired_mark);
 }
 
-OpCounts get_op_counts(ByteReader& r) {
-  OpCounts c;
-  c.p2m = r.u64();
-  c.p2m_bodies = r.u64();
-  c.m2m = r.u64();
-  c.m2l = r.u64();
-  c.l2l = r.u64();
-  c.l2p = r.u64();
-  c.l2p_bodies = r.u64();
-  c.p2p_interactions = r.u64();
-  c.p2p_node_pairs = r.u64();
-  return c;
-}
+// Vectors of these element types are flat PODs in the exact wire layout
+// (little-endian host, no padding), so both archives copy them as one block.
+template <class T>
+constexpr bool kBlockCopy =
+    std::is_same_v<T, double> || std::is_same_v<T, std::uint32_t> ||
+    std::is_same_v<T, std::uint64_t> || std::is_same_v<T, Vec3>;
+static_assert(sizeof(Vec3) == 3 * sizeof(double) &&
+              std::is_trivially_copyable_v<Vec3>);
 
-void put_observed(ByteWriter& w, const ObservedStepTimes& t) {
-  w.f64(t.cpu_seconds);
-  w.f64(t.gpu_seconds);
-  w.f64(t.cpu_p2p_seconds);
-  w.i32(t.transfer_retries);
-  put_op_counts(w, t.counts);
-  w.f64(t.t_p2m);
-  w.f64(t.t_m2m);
-  w.f64(t.t_m2l);
-  w.f64(t.t_l2l);
-  w.f64(t.t_l2p);
-}
+// Writes every field at its fixed width: bool as u8, an enum as u32, each
+// vector as a u64 count followed by its elements.
+class WriteArchive {
+ public:
+  explicit WriteArchive(ByteWriter& w) : w_(w) {}
 
-ObservedStepTimes get_observed(ByteReader& r) {
-  ObservedStepTimes t;
-  t.cpu_seconds = r.f64();
-  t.gpu_seconds = r.f64();
-  t.cpu_p2p_seconds = r.f64();
-  t.transfer_retries = r.i32();
-  t.counts = get_op_counts(r);
-  t.t_p2m = r.f64();
-  t.t_m2m = r.f64();
-  t.t_m2l = r.f64();
-  t.t_l2l = r.f64();
-  t.t_l2p = r.f64();
-  return t;
-}
-
-void put_tree(ByteWriter& w, const OctreeSnapshot& t) {
-  w.i32(t.config.leaf_capacity);
-  w.i32(t.config.max_depth);
-  put_vec3(w, t.config.root_center);
-  w.f64(t.config.root_half);
-  w.u64(t.nodes.size());
-  for (const auto& n : t.nodes) {
-    put_vec3(w, n.center);
-    w.f64(n.half);
-    w.i32(n.parent);
-    for (int c : n.children) w.i32(c);
-    w.u8(n.has_children ? 1 : 0);
-    w.i32(n.level);
-    w.u8(n.collapsed ? 1 : 0);
-    w.u32(n.begin);
-    w.u32(n.count);
+  template <class... T>
+  void operator()(const T&... v) {
+    (put(v), ...);
   }
-  // The O(N) body arrays are flat PODs in the exact wire layout; bulk-copy
-  // them instead of looping per element (the node loop above stays per-field:
-  // it is O(N/S) and OctreeNode has padding the format must not absorb).
-  static_assert(sizeof(Vec3) == 24, "Vec3 wire layout");
-  w.u64(t.sorted_pos.size());
-  w.bytes(t.sorted_pos.data(), t.sorted_pos.size() * sizeof(Vec3));
-  w.u64(t.perm.size());
-  w.bytes(t.perm.data(), t.perm.size() * sizeof(std::uint32_t));
+  template <class E>
+  void bounded(E e, E /*max*/) {
+    w_.u32(static_cast<std::uint32_t>(e));
+  }
+  void as_i64(int v) { w_.i64(v); }
+
+ private:
+  void put(double v) { w_.f64(v); }
+  void put(std::uint64_t v) { w_.u64(v); }
+  void put(std::uint32_t v) { w_.u32(v); }
+  void put(std::int32_t v) { w_.i32(v); }
+  void put(bool v) { w_.u8(v ? 1 : 0); }
+  template <class T, std::size_t N>
+  void put(const std::array<T, N>& v) {
+    for (const T& x : v) put(x);
+  }
+  template <class T>
+  void put(const std::vector<T>& v) {
+    w_.u64(v.size());
+    if constexpr (kBlockCopy<T>)
+      w_.bytes(v.data(), v.size() * sizeof(T));
+    else
+      for (const T& x : v) put(x);
+  }
+  template <class R>
+  void put(const R& record) {
+    fields(*this, record);
+  }
+
+  ByteWriter& w_;
+};
+
+// Encoded size of one T; the bound a count of T is checked against.
+template <class T>
+std::size_t wire_size() {
+  if constexpr (kBlockCopy<T>) {
+    return sizeof(T);
+  } else {
+    ByteWriter w;
+    WriteArchive a(w);
+    a(T{});
+    return w.size();
+  }
 }
 
-bool get_tree(ByteReader& r, OctreeSnapshot& t) {
-  t.config.leaf_capacity = r.i32();
-  t.config.max_depth = r.i32();
-  t.config.root_center = get_vec3(r);
-  t.config.root_half = r.f64();
-  const std::uint64_t num_nodes = r.u64();
-  // Conservative lower bound on a serialized node keeps a corrupt count from
-  // allocating unbounded memory.
-  if (num_nodes * 32 > r.remaining()) return false;
-  t.nodes.resize(num_nodes);
-  for (auto& n : t.nodes) {
-    n.center = get_vec3(r);
-    n.half = r.f64();
-    n.parent = r.i32();
-    for (auto& c : n.children) c = r.i32();
-    n.has_children = r.u8() != 0;
-    n.level = r.i32();
-    n.collapsed = r.u8() != 0;
-    n.begin = r.u32();
-    n.count = r.u32();
-  }
-  const std::uint64_t num_pos = r.u64();
-  if (num_pos * sizeof(Vec3) > r.remaining()) return false;
-  t.sorted_pos.resize(num_pos);
-  {
-    // An empty vector's data() may be null, and memcpy(nullptr, ..., 0) is
-    // undefined.
-    const auto raw = r.bytes(num_pos * sizeof(Vec3));
-    if (!raw.empty()) std::memcpy(t.sorted_pos.data(), raw.data(), raw.size());
-  }
-  const std::uint64_t num_perm = r.u64();
-  if (num_perm * sizeof(std::uint32_t) > r.remaining()) return false;
-  t.perm.resize(num_perm);
-  {
-    const auto raw = r.bytes(num_perm * sizeof(std::uint32_t));
-    if (!raw.empty()) std::memcpy(t.perm.data(), raw.data(), raw.size());
-  }
-  return r.ok();
-}
+// The inverse of WriteArchive over a bounds-checked ByteReader. Malformed
+// input latches the reader's fail flag (an overrun, an enum out of range, a
+// count larger than the bytes left could hold) and never throws.
+class ReadArchive {
+ public:
+  explicit ReadArchive(ByteReader& r) : r_(r) {}
 
-void put_balancer(ByteWriter& w, const LoadBalancerSnapshot& b) {
-  w.u32(static_cast<std::uint32_t>(b.state));
-  w.i32(b.S);
-  w.i32(b.search_lo);
-  w.i32(b.search_hi);
-  w.i32(b.search_steps);
-  w.i32(b.last_dominant);
-  w.f64(b.best_compute);
-  w.u8(b.reset_best_next ? 1 : 0);
-  w.u64(b.last_epoch);
-  w.i32(b.epoch_pending);
-  const CostCoefficients& c = b.model.coefficients;
-  w.f64(c.p2m_per_body);
-  w.f64(c.m2m);
-  w.f64(c.m2l);
-  w.f64(c.l2l);
-  w.f64(c.l2p_per_body);
-  w.f64(c.p2p);
-  w.f64(c.p2p_cpu);
-  w.f64(c.cpu_efficiency);
-  w.i32(b.model.observations);
-}
-
-bool get_balancer(ByteReader& r, LoadBalancerSnapshot& b) {
-  const std::uint32_t state = r.u32();
-  if (state > static_cast<std::uint32_t>(LbState::kObservation)) return false;
-  b.state = static_cast<LbState>(state);
-  b.S = r.i32();
-  b.search_lo = r.i32();
-  b.search_hi = r.i32();
-  b.search_steps = r.i32();
-  b.last_dominant = r.i32();
-  b.best_compute = r.f64();
-  b.reset_best_next = r.u8() != 0;
-  b.last_epoch = r.u64();
-  b.epoch_pending = r.i32();
-  CostCoefficients& c = b.model.coefficients;
-  c.p2m_per_body = r.f64();
-  c.m2m = r.f64();
-  c.m2l = r.f64();
-  c.l2l = r.f64();
-  c.l2p_per_body = r.f64();
-  c.p2p = r.f64();
-  c.p2p_cpu = r.f64();
-  c.cpu_efficiency = r.f64();
-  b.model.observations = r.i32();
-  return r.ok();
-}
-
-void put_health(ByteWriter& w, const MachineHealth& h) {
-  w.u64(h.gpus.size());
-  for (const auto& g : h.gpus) {
-    w.u8(g.alive ? 1 : 0);
-    w.f64(g.clock_scale);
+  template <class... T>
+  void operator()(T&... v) {
+    (get(v), ...);
   }
-  w.i32(h.cpu_cores_available);
-  w.i32(h.cpu_cores_provisioned);
-  w.f64(h.transfer_fault_prob);
-  w.u64(h.transfer_seed);
-  w.u64(h.fault_epoch);
-}
-
-bool get_health(ByteReader& r, MachineHealth& h) {
-  const std::uint64_t num_gpus = r.u64();
-  if (num_gpus * 9 > r.remaining()) return false;
-  h.gpus.resize(num_gpus);
-  for (auto& g : h.gpus) {
-    g.alive = r.u8() != 0;
-    g.clock_scale = r.f64();
+  template <class E>
+  void bounded(E& e, E max) {
+    const std::uint32_t v = r_.u32();
+    if (v > static_cast<std::uint32_t>(max)) r_.fail();
+    e = static_cast<E>(v);
   }
-  h.cpu_cores_available = r.i32();
-  h.cpu_cores_provisioned = r.i32();
-  h.transfer_fault_prob = r.f64();
-  h.transfer_seed = r.u64();
-  h.fault_epoch = r.u64();
-  return r.ok();
+  void as_i64(int& v) { v = static_cast<int>(r_.i64()); }
+
+ private:
+  void get(double& v) { v = r_.f64(); }
+  void get(std::uint64_t& v) { v = r_.u64(); }
+  void get(std::uint32_t& v) { v = r_.u32(); }
+  void get(std::int32_t& v) { v = r_.i32(); }
+  void get(bool& v) { v = r_.u8() != 0; }
+  template <class T, std::size_t N>
+  void get(std::array<T, N>& v) {
+    for (T& x : v) get(x);
+  }
+  template <class T>
+  void get(std::vector<T>& v) {
+    // Divide rather than multiply: n * wire_size can wrap past 2^64.
+    const std::uint64_t n = r_.u64();
+    if (n > r_.remaining() / wire_size<T>()) {
+      r_.fail();
+      return;
+    }
+    v.resize(n);
+    if constexpr (kBlockCopy<T>) {
+      // An empty vector's data() may be null, and memcpy(nullptr, ..., 0) is
+      // undefined.
+      const auto raw = r_.bytes(n * sizeof(T));
+      if (!raw.empty()) std::memcpy(v.data(), raw.data(), raw.size());
+    } else {
+      for (T& x : v) get(x);
+    }
+  }
+  template <class R>
+  void get(R& record) {
+    fields(*this, record);
+  }
+
+  ByteReader& r_;
+};
+
+enum class SectionId : std::uint32_t {
+  kMeta = 1,
+  kBodies = 2,
+  kDerived = 3,
+  kObserved = 4,
+  kTree = 5,
+  kBalancer = 6,
+  kHealth = 7,
+  kInjector = 8,
+  kRng = 9,
+};
+constexpr std::uint32_t kNumSections = 9;
+
+constexpr std::uint32_t bit(SectionId id) {
+  return 1u << static_cast<std::uint32_t>(id);
+}
+// Sections a checkpoint cannot be restored without.
+constexpr std::uint32_t kRequiredSections =
+    bit(SectionId::kMeta) | bit(SectionId::kBodies) | bit(SectionId::kTree) |
+    bit(SectionId::kBalancer) | bit(SectionId::kHealth) |
+    bit(SectionId::kInjector);
+
+// The payload of section `id`; encode and decode both run through it. An
+// unknown id lists nothing.
+template <class A, RecordOf<SimCheckpoint> C>
+void section(A& a, SectionId id, C& ckpt) {
+  switch (id) {
+    case SectionId::kMeta: {
+      std::uint64_t body_count = ckpt.bodies.size();  // informational
+      a.bounded(ckpt.kind, SimKind::kStokes);
+      a.as_i64(ckpt.step);
+      a(body_count);
+      break;
+    }
+    case SectionId::kBodies:
+      a(ckpt.bodies.positions, ckpt.bodies.velocities, ckpt.bodies.masses);
+      break;
+    case SectionId::kDerived:
+      a(ckpt.accel, ckpt.potential);
+      break;
+    case SectionId::kObserved:
+      a(ckpt.has_observed, ckpt.observed);
+      break;
+    case SectionId::kTree:
+      a(ckpt.tree);
+      break;
+    case SectionId::kBalancer:
+      a(ckpt.balancer);
+      break;
+    case SectionId::kHealth:
+      a(ckpt.health);
+      break;
+    case SectionId::kInjector:
+      a(ckpt.injector);
+      break;
+    case SectionId::kRng:
+      a(ckpt.rng_words);
+      break;
+  }
 }
 
 // v3 seal: the CRC covers the section header (id, size) AND the payload, so
@@ -291,28 +280,8 @@ std::uint32_t section_crc(std::uint32_t id,
   return crc32_extend(crc32(hdr.buffer()), payload);
 }
 
-enum class SectionId : std::uint32_t {
-  kMeta = 1,
-  kBodies = 2,
-  kDerived = 3,
-  kObserved = 4,
-  kTree = 5,
-  kBalancer = 6,
-  kHealth = 7,
-  kInjector = 8,
-  kRng = 9,
-};
-
 void set_error(std::string* error, const std::string& what) {
   if (error) *error = what;
-}
-
-void append_section(ByteWriter& out, SectionId id, ByteWriter&& payload) {
-  const auto& bytes = payload.buffer();
-  out.u32(static_cast<std::uint32_t>(id));
-  out.u64(bytes.size());
-  out.u32(section_crc(static_cast<std::uint32_t>(id), bytes));
-  out.bytes(bytes.data(), bytes.size());
 }
 
 }  // namespace
@@ -321,53 +290,17 @@ std::vector<std::uint8_t> encode_checkpoint(const SimCheckpoint& ckpt) {
   ByteWriter out;
   out.u32(kCheckpointMagic);
   out.u32(kCheckpointVersion);
-  out.u32(9);  // section count
-
-  ByteWriter meta;
-  meta.u32(static_cast<std::uint32_t>(ckpt.kind));
-  meta.i64(ckpt.step);
-  meta.u64(ckpt.bodies.size());
-  append_section(out, SectionId::kMeta, std::move(meta));
-
-  ByteWriter bodies;
-  put_vec3s(bodies, ckpt.bodies.positions);
-  put_vec3s(bodies, ckpt.bodies.velocities);
-  put_f64s(bodies, ckpt.bodies.masses);
-  append_section(out, SectionId::kBodies, std::move(bodies));
-
-  ByteWriter derived;
-  put_vec3s(derived, ckpt.accel);
-  put_f64s(derived, ckpt.potential);
-  append_section(out, SectionId::kDerived, std::move(derived));
-
-  ByteWriter observed;
-  observed.u8(ckpt.has_observed ? 1 : 0);
-  put_observed(observed, ckpt.observed);
-  append_section(out, SectionId::kObserved, std::move(observed));
-
-  ByteWriter tree;
-  put_tree(tree, ckpt.tree);
-  append_section(out, SectionId::kTree, std::move(tree));
-
-  ByteWriter balancer;
-  put_balancer(balancer, ckpt.balancer);
-  append_section(out, SectionId::kBalancer, std::move(balancer));
-
-  ByteWriter health;
-  put_health(health, ckpt.health);
-  append_section(out, SectionId::kHealth, std::move(health));
-
-  ByteWriter injector;
-  injector.u64(ckpt.injector.next_event);
-  injector.i32(ckpt.injector.transfer_window_end);
-  injector.u64(ckpt.injector.num_events);
-  injector.u64(ckpt.injector.fired_mark);
-  append_section(out, SectionId::kInjector, std::move(injector));
-
-  ByteWriter rng;
-  put_u64s(rng, ckpt.rng_words);
-  append_section(out, SectionId::kRng, std::move(rng));
-
+  out.u32(kNumSections);
+  for (std::uint32_t id = 1; id <= kNumSections; ++id) {
+    ByteWriter payload;
+    WriteArchive a(payload);
+    section(a, static_cast<SectionId>(id), ckpt);
+    const auto& bytes = payload.buffer();
+    out.u32(id);
+    out.u64(bytes.size());
+    out.u32(section_crc(id, bytes));
+    out.bytes(bytes.data(), bytes.size());
+  }
   return out.take();
 }
 
@@ -392,8 +325,7 @@ std::optional<SimCheckpoint> decode_checkpoint(
   }
 
   SimCheckpoint ckpt;
-  bool have_meta = false, have_bodies = false, have_tree = false,
-       have_balancer = false, have_health = false, have_injector = false;
+  std::uint32_t seen = 0;
   for (std::uint32_t s = 0; s < sections; ++s) {
     const std::uint32_t id = header.u32();
     const std::uint64_t size = header.u64();
@@ -407,62 +339,15 @@ std::optional<SimCheckpoint> decode_checkpoint(
       set_error(error, "CRC mismatch in section " + std::to_string(id));
       return std::nullopt;
     }
+    // Unknown ids list no fields and are skipped (forward compatibility).
     ByteReader r(payload);
-    bool ok = true;
-    switch (static_cast<SectionId>(id)) {
-      case SectionId::kMeta: {
-        const std::uint32_t kind = r.u32();
-        if (kind > static_cast<std::uint32_t>(SimKind::kStokes)) ok = false;
-        ckpt.kind = static_cast<SimKind>(kind);
-        ckpt.step = static_cast<int>(r.i64());
-        r.u64();  // body count: informational
-        have_meta = r.ok() && ok;
-        break;
-      }
-      case SectionId::kBodies:
-        ok = get_vec3s(r, ckpt.bodies.positions) &&
-             get_vec3s(r, ckpt.bodies.velocities) &&
-             get_f64s(r, ckpt.bodies.masses);
-        have_bodies = ok;
-        break;
-      case SectionId::kDerived:
-        ok = get_vec3s(r, ckpt.accel) && get_f64s(r, ckpt.potential);
-        break;
-      case SectionId::kObserved:
-        ckpt.has_observed = r.u8() != 0;
-        ckpt.observed = get_observed(r);
-        ok = r.ok();
-        break;
-      case SectionId::kTree:
-        ok = get_tree(r, ckpt.tree);
-        have_tree = ok;
-        break;
-      case SectionId::kBalancer:
-        ok = get_balancer(r, ckpt.balancer);
-        have_balancer = ok;
-        break;
-      case SectionId::kHealth:
-        ok = get_health(r, ckpt.health);
-        have_health = ok;
-        break;
-      case SectionId::kInjector:
-        ckpt.injector.next_event = r.u64();
-        ckpt.injector.transfer_window_end = r.i32();
-        ckpt.injector.num_events = r.u64();
-        ckpt.injector.fired_mark = r.u64();
-        ok = r.ok();
-        have_injector = ok;
-        break;
-      case SectionId::kRng:
-        ok = get_u64s(r, ckpt.rng_words);
-        break;
-      default:
-        break;  // unknown section: skip (forward compatibility)
-    }
-    if (!ok) {
+    ReadArchive a(r);
+    section(a, static_cast<SectionId>(id), ckpt);
+    if (!r.ok()) {
       set_error(error, "malformed section " + std::to_string(id));
       return std::nullopt;
     }
+    if (id <= kNumSections) seen |= bit(static_cast<SectionId>(id));
   }
   // Bytes past the declared sections mean the count itself is corrupt (a
   // flipped count byte would otherwise silently drop trailing sections).
@@ -470,8 +355,7 @@ std::optional<SimCheckpoint> decode_checkpoint(
     set_error(error, "trailing bytes after last section");
     return std::nullopt;
   }
-  if (!have_meta || !have_bodies || !have_tree || !have_balancer ||
-      !have_health || !have_injector) {
+  if ((seen & kRequiredSections) != kRequiredSections) {
     set_error(error, "missing required section");
     return std::nullopt;
   }

@@ -73,7 +73,7 @@ class ByteReader {
 
   // Borrow `n` raw bytes (no copy); empty span + fail on overrun.
   std::span<const std::uint8_t> bytes(std::size_t n) {
-    if (pos_ + n > data_.size()) {
+    if (fail_ || n > remaining()) {
       fail_ = true;
       return {};
     }
@@ -82,12 +82,14 @@ class ByteReader {
     return out;
   }
 
+  // Latch failure from outside, e.g. a field that is out of its range.
+  void fail() { fail_ = true; }
   bool ok() const { return !fail_; }
   std::size_t remaining() const { return data_.size() - pos_; }
 
  private:
   void raw(void* out, std::size_t n) {
-    if (fail_ || pos_ + n > data_.size()) {
+    if (fail_ || n > remaining()) {
       fail_ = true;
       std::memset(out, 0, n);
       return;

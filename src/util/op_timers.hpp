@@ -4,8 +4,13 @@
 // out each operation"; coefficients are then total time / total count summed
 // over threads.
 //
-// Correctness contract (the balancer derives its coefficients from these
-// numbers, so they are load-bearing, not diagnostic):
+// These are REAL host times, collected only under
+// FmmConfig::collect_real_timings and reported (the afmm_cli coefficient
+// table, the trace's wall-time process). The balancer does not read them:
+// CostModel::observe derives its coefficients from the machine model's
+// deterministic ObservedStepTimes, so trajectories do not depend on the host.
+//
+// Correctness contract (so the reported per-op times add up):
 //
 //   * every thread gets its OWN slot, no matter how many threads the OpenMP
 //     runtime creates. The first kInlineThreads ids use cache-line padded

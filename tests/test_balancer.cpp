@@ -459,10 +459,12 @@ TEST(LoadBalancer, FgoNeverTouchesNodesHiddenBelowACollapsedParent) {
   ASSERT_NO_THROW(r = lb.post_step(tree, set.positions, obs, node));
   EXPECT_GT(r.fgo_ops, 0);
   const std::vector<int> still = hidden_nodes(tree);
-  for (std::size_t k = 0; k < hidden.size(); ++k)
-    if (std::binary_search(still.begin(), still.end(), hidden[k]))
+  for (std::size_t k = 0; k < hidden.size(); ++k) {
+    if (std::binary_search(still.begin(), still.end(), hidden[k])) {
       EXPECT_TRUE(state_of(hidden[k]) == before[k])
           << "hidden node " << hidden[k] << " was modified";
+    }
+  }
 }
 
 TEST(LoadBalancer, ToStringCoversEnums) {

@@ -13,11 +13,15 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/simulation.hpp"
+#include "core/stokes_simulation.hpp"
 #include "dist/distributions.hpp"
+#include "sdc/sdc.hpp"
+#include "state/serial.hpp"
 #include "util/rng.hpp"
 
 namespace afmm {
@@ -84,6 +88,28 @@ std::vector<std::size_t> section_boundaries(
   }
   EXPECT_EQ(off, bytes.size());
   return b;
+}
+
+// Offset of the header of section `id` in an intact encoding.
+std::size_t section_header(const std::vector<std::uint8_t>& bytes,
+                           std::uint32_t id) {
+  std::size_t off = 12;
+  for (std::uint32_t i = 0; i < u32_at(bytes, 8); ++i) {
+    if (u32_at(bytes, off) == id) return off;
+    off += 16 + u64_at(bytes, off + 4);
+  }
+  ADD_FAILURE() << "no section " << id;
+  return 0;
+}
+
+// Recomputes the CRC of the section whose header starts at `hdr`, so an
+// edited payload reaches the field decoders instead of the CRC check.
+void reseal(std::vector<std::uint8_t>& bytes, std::size_t hdr) {
+  const std::uint64_t size = u64_at(bytes, hdr + 4);
+  const std::span<const std::uint8_t> head(bytes.data() + hdr, 12);
+  const std::span<const std::uint8_t> payload(bytes.data() + hdr + 16, size);
+  const std::uint32_t crc = crc32_extend(crc32(head), payload);
+  std::memcpy(bytes.data() + hdr + 12, &crc, sizeof crc);
 }
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
@@ -166,6 +192,84 @@ TEST(CheckpointFuzz, AppendedTrailingBytesAreDetected) {
   std::string error;
   EXPECT_FALSE(decode_checkpoint(mutant, &error).has_value());
   EXPECT_NE(error.find("trailing"), std::string::npos) << error;
+}
+
+// A count whose product with a per-element byte size wraps past 2^64 must be
+// rejected as malformed, never handed to vector::resize.
+TEST(CheckpointFuzz, WrappingCountsAreRejected) {
+  const auto bytes = encode_checkpoint(make_checkpoint());
+  struct Case {
+    std::uint32_t section;
+    std::size_t offset;     // of the count within the payload
+    std::uint64_t element;  // bytes per element a naive bound multiplies by
+  };
+  // Bodies: the position count leads (24-byte Vec3). Tree: the node count
+  // follows leaf_capacity, max_depth, root_center and root_half (32 bytes
+  // was the old per-node bound). Health: the GPU count leads (9 bytes each).
+  for (const Case c : {Case{2, 0, 24}, Case{5, 40, 32}, Case{7, 0, 9}}) {
+    const std::uint64_t n =
+        std::numeric_limits<std::uint64_t>::max() / c.element + 1;
+    ASSERT_LT(n * c.element, 64u) << "product must wrap";
+    auto mutant = bytes;
+    const std::size_t hdr = section_header(mutant, c.section);
+    std::memcpy(mutant.data() + hdr + 16 + c.offset, &n, sizeof n);
+    reseal(mutant, hdr);
+    std::string error;
+    EXPECT_FALSE(decode_checkpoint(mutant, &error).has_value());
+    EXPECT_EQ(error, "malformed section " + std::to_string(c.section));
+  }
+}
+
+void add_rng_words(SimCheckpoint& ckpt, std::uint64_t seed) {
+  Rng rng(seed);
+  for (int stream = 0; stream < 2; ++stream) {
+    rng.next_u64();
+    const auto state = rng.state();
+    ckpt.rng_words.insert(ckpt.rng_words.end(), state.begin(), state.end());
+  }
+}
+
+// Pins the v7 wire format: size and FNV-1a hash of the encoding, and a
+// decode -> encode round trip that gives the same bytes back.
+void expect_pinned_encoding(const SimCheckpoint& ckpt, std::size_t size,
+                            std::uint64_t hash) {
+  const auto bytes = encode_checkpoint(ckpt);
+  EXPECT_EQ(bytes.size(), size);
+  EXPECT_EQ(sdc_checksum_bytes(bytes.data(), bytes.size()), hash);
+  std::string error;
+  const auto back = decode_checkpoint(bytes, &error);
+  ASSERT_TRUE(back.has_value()) << error;
+  EXPECT_TRUE(encode_checkpoint(*back) == bytes);
+}
+
+TEST(CheckpointFuzz, GravityEncodingIsPinned) {
+  SimulationConfig cfg = base_config();
+  cfg.faults.gpu_loss(2, 1);
+  GravitySimulation sim(cfg, default_node(), test_bodies());
+  sim.run(4);
+  SimCheckpoint ckpt = sim.checkpoint();
+  add_rng_words(ckpt, 5);
+  expect_pinned_encoding(ckpt, 65542, 14016157665829544486ull);
+}
+
+TEST(CheckpointFuzz, StokesEncodingIsPinned) {
+  Rng rng(95);
+  std::vector<Vec3> pos;
+  for (int i = 0; i < 300; ++i)
+    pos.push_back({rng.uniform(-1, 1), rng.uniform(-1, 1),
+                   rng.uniform(2, 4)});
+  StokesSimulationConfig cfg;
+  cfg.fmm.order = 4;
+  cfg.tree.root_center = {0, 0, 0};
+  cfg.tree.root_half = 8.0;
+  cfg.epsilon = 0.05;
+  cfg.dt = 1e-3;
+  cfg.balancer.initial_S = 32;
+  StokesSimulation sim(cfg, default_node(), pos, constant_force({0, 0, -1}));
+  sim.run(4);
+  SimCheckpoint ckpt = sim.checkpoint();
+  add_rng_words(ckpt, 6);
+  expect_pinned_encoding(ckpt, 23574, 8485870527683429170ull);
 }
 
 TEST(CheckpointFuzz, StoreFallsBackToPreviousGoodSnapshot) {

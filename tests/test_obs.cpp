@@ -196,7 +196,6 @@ TEST(Obs, WallOpsTrackOnlyWhenEnabled) {
     EXPECT_NE(e.pid, TraceRecorder::kWallPid);
 
   cfg.fmm.collect_real_timings = true;
-  cfg.obs.wall_ops = true;
   GravitySimulation wall(cfg, test_node(), test_bodies());
   wall.run(2);
   bool saw_wall = false;
