@@ -1,5 +1,6 @@
 #include "expansion/operators.hpp"
 
+#include <cstddef>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -15,6 +16,56 @@ int checked_order(int order) {
         "ExpansionContext: FmmConfig::order must be in [1, 16], got " +
         std::to_string(order));
   return order;
+}
+
+// The operands of one M2L contraction: L[r * stride + beta] +=
+// Ms[r * n + alpha] * T[sum[beta * n + alpha]] for every rhs r, beta, alpha.
+struct M2LRows {
+  const std::int32_t* sum;
+  const double* T;
+  const double* Ms;
+  double* L;
+  int n;
+  std::ptrdiff_t stride;
+};
+
+// Contracts beta rows beta0 .. beta0+B-1 of rhs r0 .. r0+R-1: B*R register
+// accumulators, each loaded from its L entry once, given its alpha terms in
+// alpha order and stored once. Every L entry thus sees the same products
+// added in the same order as a plain per-entry loop, so the result is
+// bitwise the same; the B*R independent add chains hide the add latency,
+// and the R rhs of a row share each T load. The unroll pragmas keep the
+// accumulators in registers: GCC's -O2 does not fully unroll these
+// constant-trip loops on its own.
+template <int B, int R>
+void contract(const M2LRows& m, int beta0, int r0) {
+  const std::int32_t* row[B];
+  const double* ms[R];
+  double* l[R];
+  double acc[B][R] = {};
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    ms[r] = m.Ms + static_cast<std::ptrdiff_t>(r0 + r) * m.n;
+    l[r] = m.L + (r0 + r) * m.stride + beta0;
+  }
+#pragma GCC unroll 4
+  for (int b = 0; b < B; ++b) {
+    row[b] = m.sum + static_cast<std::ptrdiff_t>(beta0 + b) * m.n;
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) acc[b][r] = l[r][b];
+  }
+  for (int a = 0; a < m.n; ++a) {
+#pragma GCC unroll 4
+    for (int b = 0; b < B; ++b) {
+      const double t = m.T[row[b][a]];
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) acc[b][r] += ms[r][a] * t;
+    }
+  }
+#pragma GCC unroll 4
+  for (int b = 0; b < B; ++b)
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) l[r][b] = acc[b][r];
 }
 
 }  // namespace
@@ -38,14 +89,13 @@ ExpansionContext::ExpansionContext(int order)
     }
   }
 
-  // Dense M2L contraction table.
-  m2l_pairs_.reserve(static_cast<std::size_t>(n) * n);
+  // Dense M2L contraction rows, one per beta.
+  m2l_sum_.reserve(static_cast<std::size_t>(n) * n);
   for (int beta = 0; beta < n; ++beta) {
     const auto& b = set_p_[beta];
     for (int alpha = 0; alpha < n; ++alpha) {
       const auto& a = set_p_[alpha];
-      const int sum = set_q().find(a.i + b.i, a.j + b.j, a.k + b.k);
-      m2l_pairs_.push_back({beta, alpha, sum});
+      m2l_sum_.push_back(set_q().find(a.i + b.i, a.j + b.j, a.k + b.k));
     }
   }
 
@@ -121,30 +171,29 @@ void ExpansionContext::m2m(const Vec3& from, const Vec3& to,
     Mparent[tr.hi] += Mchild[tr.lo] * t[tr.shift];
 }
 
-void ExpansionContext::m2l(const Vec3& src, const Vec3& dst, const double* M,
-                           double* L) const {
-  thread_local std::vector<double> T;
-  thread_local std::vector<double> Ms;
-  T.resize(set_q().size());
-  Ms.resize(ncoef());
-  derivs_.evaluate(dst - src, T.data());
-  for (int a = 0; a < ncoef(); ++a) Ms[a] = sign_[a] * M[a];
-  for (const auto& pr : m2l_pairs_) L[pr.beta] += Ms[pr.alpha] * T[pr.sum];
-}
-
 void ExpansionContext::m2l_multi(const Vec3& src, const Vec3& dst,
                                  const double* M, double* L, int nrhs,
                                  int stride) const {
+  const int n = ncoef();
   thread_local std::vector<double> T;
   thread_local std::vector<double> Ms;
   T.resize(set_q().size());
-  Ms.resize(ncoef());
+  Ms.resize(static_cast<std::size_t>(n) * nrhs);
   derivs_.evaluate(dst - src, T.data());
   for (int r = 0; r < nrhs; ++r) {
     const double* m = M + static_cast<std::ptrdiff_t>(r) * stride;
-    double* l = L + static_cast<std::ptrdiff_t>(r) * stride;
-    for (int a = 0; a < ncoef(); ++a) Ms[a] = sign_[a] * m[a];
-    for (const auto& pr : m2l_pairs_) l[pr.beta] += Ms[pr.alpha] * T[pr.sum];
+    for (int a = 0; a < n; ++a) Ms[r * n + a] = sign_[a] * m[a];
+  }
+  // Four independent chains per pass: the four rhs of one beta row while
+  // four remain, then four beta rows of each remaining rhs.
+  const M2LRows rows{m2l_sum_.data(), T.data(), Ms.data(), L, n, stride};
+  int r = 0;
+  for (; r + 4 <= nrhs; r += 4)
+    for (int beta = 0; beta < n; ++beta) contract<1, 4>(rows, beta, r);
+  for (; r < nrhs; ++r) {
+    int beta = 0;
+    for (; beta + 4 <= n; beta += 4) contract<4, 1>(rows, beta, r);
+    for (; beta < n; ++beta) contract<1, 1>(rows, beta, r);
   }
 }
 

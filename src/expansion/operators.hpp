@@ -13,6 +13,7 @@
 // immutable after construction and safe to share across threads.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "expansion/laplace_derivs.hpp"
@@ -62,12 +63,9 @@ class ExpansionContext {
   void m2m(const Vec3& from, const Vec3& to, const double* Mchild,
            double* Mparent) const;
 
-  // Convert a multipole about `src` into a local about `dst`.
-  void m2l(const Vec3& src, const Vec3& dst, const double* M, double* L) const;
-
-  // Multi-rhs M2L sharing one derivative-tensor evaluation: applies the
-  // conversion to `nrhs` expansions laid out with the given stride (in
-  // doubles) between consecutive rhs.
+  // Convert `nrhs` multipoles about `src` into locals about `dst`, sharing
+  // one derivative-tensor evaluation. Consecutive rhs lie `stride` doubles
+  // apart (stride >= ncoef()); one expansion is m2l_multi(..., 1, ncoef()).
   void m2l_multi(const Vec3& src, const Vec3& dst, const double* M, double* L,
                  int nrhs, int stride) const;
 
@@ -109,7 +107,7 @@ class ExpansionContext {
   double flops_m2l() const {
     // Derivative tensor build + the dense (alpha, beta) contraction.
     return 4.0 * set_q().size() * (set_q().max_order() + 1) / 2.0 +
-           2.0 * static_cast<double>(m2l_pairs_.size());
+           2.0 * static_cast<double>(m2l_sum_.size());
   }
 
  private:
@@ -127,13 +125,10 @@ class ExpansionContext {
   };
   std::vector<Triple> triples_;
 
-  // M2L contraction entries: L[beta] += sign_alpha * M[alpha] * T[alpha+beta].
-  struct M2LPair {
-    int beta;
-    int alpha;
-    int sum;  // index of alpha + beta in set_q()
-  };
-  std::vector<M2LPair> m2l_pairs_;
+  // Dense M2L contraction rows: m2l_sum_[beta * ncoef() + alpha] is the
+  // set_q() index of alpha + beta, and
+  // L[beta] += sign_alpha * M[alpha] * T[m2l_sum_[beta * ncoef() + alpha]].
+  std::vector<std::int32_t> m2l_sum_;
   std::vector<double> sign_;        // (-1)^|alpha| over set_p_
   std::vector<int> lift_;           // set_p_ index -> set_q() index (same alpha)
   std::vector<int> lift_add_[3];    // set_p_ alpha -> set_q() index of alpha+e_d

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
@@ -169,7 +170,12 @@ class ReadArchive {
     if (v > static_cast<std::uint32_t>(max)) r_.fail();
     e = static_cast<E>(v);
   }
-  void as_i64(int& v) { v = static_cast<int>(r_.i64()); }
+  // A value outside [0, INT_MAX] would not survive the narrowing to int.
+  void as_i64(int& v) {
+    const std::int64_t w = r_.i64();
+    if (w < 0 || w > std::numeric_limits<int>::max()) r_.fail();
+    v = static_cast<int>(w);
+  }
 
  private:
   void get(double& v) { v = r_.f64(); }
@@ -340,14 +346,17 @@ std::optional<SimCheckpoint> decode_checkpoint(
       return std::nullopt;
     }
     // Unknown ids list no fields and are skipped (forward compatibility).
+    // A known section must end exactly after its fields: leftover bytes
+    // mean the writer listed fields this reader does not.
+    const bool known = id >= 1 && id <= kNumSections;
     ByteReader r(payload);
     ReadArchive a(r);
     section(a, static_cast<SectionId>(id), ckpt);
-    if (!r.ok()) {
+    if (!r.ok() || (known && r.remaining() != 0)) {
       set_error(error, "malformed section " + std::to_string(id));
       return std::nullopt;
     }
-    if (id <= kNumSections) seen |= bit(static_cast<SectionId>(id));
+    if (known) seen |= bit(static_cast<SectionId>(id));
   }
   // Bytes past the declared sections mean the count itself is corrupt (a
   // flipped count byte would otherwise silently drop trailing sections).

@@ -220,6 +220,47 @@ TEST(CheckpointFuzz, WrappingCountsAreRejected) {
   }
 }
 
+// A known section must end exactly after its fields: a CRC-valid meta
+// payload with 8 bytes appended is malformed, not silently accepted.
+TEST(CheckpointFuzz, LeftoverSectionBytesAreRejected) {
+  auto mutant = encode_checkpoint(make_checkpoint());
+  const std::size_t hdr = section_header(mutant, 1);
+  const std::uint64_t size = u64_at(mutant, hdr + 4);
+  mutant.insert(mutant.begin() + static_cast<std::ptrdiff_t>(hdr + 16 + size),
+                8, 0);
+  const std::uint64_t grown = size + 8;
+  std::memcpy(mutant.data() + hdr + 4, &grown, sizeof grown);
+  reseal(mutant, hdr);
+  std::string error;
+  EXPECT_FALSE(decode_checkpoint(mutant, &error).has_value());
+  EXPECT_EQ(error, "malformed section 1");
+}
+
+// The meta step is an i64 on the wire (after the u32 kind) and an int in
+// memory: a value outside [0, INT_MAX] must be rejected, not narrowed.
+TEST(CheckpointFuzz, OutOfRangeStepIsRejected) {
+  const auto bytes = encode_checkpoint(make_checkpoint());
+  const auto with_step = [&](std::int64_t step) {
+    auto mutant = bytes;
+    const std::size_t hdr = section_header(mutant, 1);
+    std::memcpy(mutant.data() + hdr + 16 + 4, &step, sizeof step);
+    reseal(mutant, hdr);
+    return mutant;
+  };
+  std::string error;
+  const auto max = decode_checkpoint(
+      with_step(std::numeric_limits<int>::max()), &error);
+  ASSERT_TRUE(max.has_value()) << error;
+  EXPECT_EQ(max->step, std::numeric_limits<int>::max());
+  for (const std::int64_t step : {(std::int64_t{1} << 32) + 5,
+                                  std::int64_t{-1}}) {
+    error.clear();
+    EXPECT_FALSE(decode_checkpoint(with_step(step), &error).has_value())
+        << "step " << step;
+    EXPECT_EQ(error, "malformed section 1") << "step " << step;
+  }
+}
+
 void add_rng_words(SimCheckpoint& ckpt, std::uint64_t seed) {
   Rng rng(seed);
   for (int stream = 0; stream < 2; ++stream) {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
+#include "expansion/laplace_derivs.hpp"
 #include "expansion/operators.hpp"
 #include "util/rng.hpp"
 
@@ -115,7 +117,7 @@ TEST_P(OperatorOrder, M2LplusL2PApproximatesDirect) {
 
   std::vector<double> M(ctx.ncoef(), 0.0), L(ctx.ncoef(), 0.0);
   ctx.p2m(src_center, c.pos.data(), c.q.data(), 30, M.data());
-  ctx.m2l(src_center, dst_center, M.data(), L.data());
+  ctx.m2l_multi(src_center, dst_center, M.data(), L.data(), 1, ctx.ncoef());
 
   double worst = 0.0;
   for (int trial = 0; trial < 20; ++trial) {
@@ -141,7 +143,8 @@ TEST_P(OperatorOrder, L2LPreservesLocalField) {
   std::vector<double> M(ctx.ncoef(), 0.0), Lp(ctx.ncoef(), 0.0),
       Lc(ctx.ncoef(), 0.0);
   ctx.p2m(src_center, c.pos.data(), c.q.data(), 30, M.data());
-  ctx.m2l(src_center, parent_center, M.data(), Lp.data());
+  ctx.m2l_multi(src_center, parent_center, M.data(), Lp.data(), 1,
+                ctx.ncoef());
   ctx.l2l(parent_center, child_center, Lp.data(), Lc.data());
 
   // The shifted local expansion evaluated near the child center must agree
@@ -167,7 +170,7 @@ TEST(Operators, L2PGradientMatchesFiniteDifference) {
   const Vec3 dst{3, -1, 2};
   std::vector<double> M(ctx.ncoef(), 0.0), L(ctx.ncoef(), 0.0);
   ctx.p2m({0, 0, 0}, c.pos.data(), c.q.data(), 20, M.data());
-  ctx.m2l({0, 0, 0}, dst, M.data(), L.data());
+  ctx.m2l_multi({0, 0, 0}, dst, M.data(), L.data(), 1, ctx.ncoef());
 
   const Vec3 x = dst + Vec3{0.1, -0.2, 0.15};
   const auto v = ctx.l2p(dst, L.data(), x);
@@ -192,9 +195,61 @@ TEST(Operators, M2LMultiMatchesRepeatedM2L) {
   for (auto& m : M) m = rng.uniform(-1, 1);
   const Vec3 src{0, 0, 0}, dst{2.5, 1.0, -0.5};
   for (int r = 0; r < nrhs; ++r)
-    ctx.m2l(src, dst, M.data() + r * nc, L1.data() + r * nc);
+    ctx.m2l_multi(src, dst, M.data() + r * nc, L1.data() + r * nc, 1, nc);
   ctx.m2l_multi(src, dst, M.data(), L2.data(), nrhs, nc);
-  for (int i = 0; i < nrhs * nc; ++i) EXPECT_DOUBLE_EQ(L1[i], L2[i]);
+  EXPECT_EQ(std::memcmp(L1.data(), L2.data(), L1.size() * sizeof(double)), 0);
+}
+
+// The M2L contraction as a beta-major loop over (beta, alpha) pairs, one
+// read-modify-write of L[beta] per pair: the order of the products each L
+// entry receives, which the operator must reproduce bit for bit.
+void reference_m2l(int p, const Vec3& src, const Vec3& dst, const double* M,
+                   double* L, int nrhs, int stride) {
+  const MultiIndexSet set(p);
+  const LaplaceDerivatives derivs(MultiIndexSet(2 * p));
+  std::vector<double> T(derivs.set().size()), Ms(set.size());
+  derivs.evaluate(dst - src, T.data());
+  for (int r = 0; r < nrhs; ++r) {
+    for (int a = 0; a < set.size(); ++a)
+      Ms[a] = (set.order(a) % 2 == 0 ? 1.0 : -1.0) * M[r * stride + a];
+    for (int beta = 0; beta < set.size(); ++beta)
+      for (int alpha = 0; alpha < set.size(); ++alpha) {
+        const auto& a = set[alpha];
+        const auto& b = set[beta];
+        const int sum = derivs.set().find(a.i + b.i, a.j + b.j, a.k + b.k);
+        L[r * stride + beta] += Ms[alpha] * T[sum];
+      }
+  }
+}
+
+TEST(Operators, M2LMatchesReferenceContractionBitwise) {
+  Rng rng(31);
+  const Vec3 src{0.1, -0.2, 0.05}, dst{2.5, 1.0, -0.5};
+  // p = 1..8 gives ncoef = 4, 10, 20, 35, 56, 84, 120, 165.
+  for (int p = 1; p <= 8; ++p) {
+    ExpansionContext ctx(p);
+    const int nc = ctx.ncoef();
+    for (int nrhs = 1; nrhs <= 4; ++nrhs) {
+      for (const int stride : {nc, nc + 3}) {
+        // A zero multipole leaves only signed zeros to add, so the sign of
+        // each -0.0 local entry shows whether it was accumulated in place.
+        for (const bool zero_m : {false, true}) {
+          std::vector<double> M(nrhs * stride), L0(nrhs * stride);
+          for (auto& m : M) m = zero_m ? 0.0 : rng.uniform(-1, 1);
+          for (auto& l : L0) l = rng.uniform(-1, 1);
+          for (std::size_t i = 0; i < L0.size(); i += 3) L0[i] = -0.0;
+          auto got = L0, want = L0;
+          ctx.m2l_multi(src, dst, M.data(), got.data(), nrhs, stride);
+          reference_m2l(p, src, dst, M.data(), want.data(), nrhs, stride);
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(double)),
+                    0)
+              << "p=" << p << " nrhs=" << nrhs << " stride=" << stride
+              << " zero_m=" << zero_m;
+        }
+      }
+    }
+  }
 }
 
 TEST(Operators, AccuracyImprovesMonotonicallyWithOrder) {
@@ -315,6 +370,10 @@ TEST(Operators, FlopCountsArePositiveAndGrowWithOrder) {
   EXPECT_GT(b.flops_m2l(), a.flops_m2l());
   EXPECT_GT(b.flops_m2m(), a.flops_m2m());
   EXPECT_GT(b.flops_p2m_per_body(), a.flops_p2m_per_body());
+  // The machine model charges flops_m2l() per M2L. At p = 5 it is the
+  // derivative tensor (4 * 286 * 11 / 2: 286 entries, Q = 10) plus 2 * 56^2
+  // for the 3,136 contraction terms.
+  EXPECT_EQ(ExpansionContext(5).flops_m2l(), 12564.0);
 }
 
 }  // namespace
