@@ -64,6 +64,35 @@ void BM_M2L(benchmark::State& state) {
   }
 }
 
+void BM_M2L_Derivs(benchmark::State& state) {
+  // The derivative tensor alone: the part of BM_M2L a table hit skips.
+  Setup s(static_cast<int>(state.range(0)));
+  const LaplaceDerivatives& d = s.ctx.derivatives();
+  std::vector<double> T(d.set().size());
+  for (auto _ : state) {
+    d.evaluate({3, 1, 0}, T.data());
+    benchmark::DoNotOptimize(T.data());
+  }
+}
+
+void BM_M2L_Table(benchmark::State& state) {
+  // A table hit of the far field: BM_M2L's tensor rescaled from the shared
+  // one of key 2^3 (3, 1, 0) at level 3, then the contraction.
+  Setup s(static_cast<int>(state.range(0)));
+  const int nc = s.ctx.ncoef();
+  const LaplaceDerivatives& d = s.ctx.derivatives();
+  std::vector<double> key(d.set().size()), T(d.set().size()), out(nc, 0.0);
+  if (d.evaluate_rescalable({24, 8, 0}, key.data()) < 3) {
+    state.SkipWithError("key not rescalable to level 3");
+    return;
+  }
+  for (auto _ : state) {
+    d.rescale(key.data(), 3, false, T.data());
+    s.ctx.m2l_contract(T.data(), s.M.data(), out.data(), 1, nc);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+
 void BM_M2L_Multi4(benchmark::State& state) {
   // The Stokeslet path: 4 right-hand sides sharing one derivative tensor.
   Setup s(static_cast<int>(state.range(0)));
@@ -119,6 +148,8 @@ BENCHMARK(BM_P2M)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
 BENCHMARK(BM_M2M)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
 // p = 5 is the order every perfbench workload runs.
 BENCHMARK(BM_M2L)->Arg(2)->Arg(4)->Arg(5)->Arg(6)->Arg(8);
+BENCHMARK(BM_M2L_Derivs)->Arg(2)->Arg(4)->Arg(5)->Arg(6)->Arg(8);
+BENCHMARK(BM_M2L_Table)->Arg(2)->Arg(4)->Arg(5)->Arg(6)->Arg(8);
 BENCHMARK(BM_M2L_Multi4)->Arg(2)->Arg(4)->Arg(5)->Arg(6)->Arg(8);
 BENCHMARK(BM_L2L)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
 BENCHMARK(BM_L2P)->Arg(2)->Arg(4)->Arg(6)->Arg(8);

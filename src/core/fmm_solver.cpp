@@ -3,13 +3,148 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
+#include <exception>
 #include <stdexcept>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
 
 namespace afmm {
 
 namespace {
 // Subtrees smaller than this recurse serially instead of spawning a task.
 constexpr std::uint32_t kTaskCutoff = 256;
+
+// The table key of an M2L pair (DESIGN.md, far field): for a source and a
+// target whose levels differ by at most one, with l the larger level,
+// k = s 2^l (dst - src), where the sign s makes k's first nonzero component
+// positive. Keys compare by their bits.
+struct OffsetKey {
+  std::array<std::uint64_t, 3> bits;
+  bool operator==(const OffsetKey&) const = default;
+};
+
+struct ScaledOffset {
+  OffsetKey key;
+  int level = 0;
+  bool reflect = false;  // s = -1
+};
+
+// Fills `out` for the pair src -> dst with offset r = dst - src; false when
+// the levels are further apart than the table serves.
+bool scaled_offset(const OctreeNode& src, const OctreeNode& dst, const Vec3& r,
+                   ScaledOffset& out) {
+  if (std::abs(src.level - dst.level) > 1) return false;
+  out.level = std::max(src.level, dst.level);
+  // Multiplying by 2^l is exact (it can only overflow, which the table's
+  // bound then rejects).
+  const double scale = std::ldexp(1.0, out.level);
+  const double k[3] = {r.x * scale, r.y * scale, r.z * scale};
+  const int first = k[0] != 0.0 ? 0 : (k[1] != 0.0 ? 1 : 2);
+  out.reflect = k[first] < 0.0;
+  for (int d = 0; d < 3; ++d) {
+    // "+ 0.0" turns -0.0 into +0.0: a zero component keys by value alone.
+    const double c = (out.reflect ? -k[d] : k[d]) + 0.0;
+    out.key.bits[d] = std::bit_cast<std::uint64_t>(c);
+  }
+  return true;
+}
+
+struct OffsetKeyHash {
+  std::size_t operator()(const OffsetKey& key) const {
+    // splitmix64's finalizer over each component in turn.
+    std::uint64_t h = 0;
+    for (std::uint64_t b : key.bits) {
+      h ^= b;
+      h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
+      h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
+      h ^= h >> 31;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+
+// The M2L derivative tensors of one solve: one evaluate per distinct key,
+// shared through LaplaceDerivatives::rescale by every pair with that key
+// whose level the key's exactness bound admits. Every other pair evaluates
+// its own tensor, so each pair gets the bits evaluate(dst - src) gives.
+class OffsetTensors {
+ public:
+  explicit OffsetTensors(const LaplaceDerivatives& derivs)
+      : derivs_(derivs), size_(derivs.set().size()) {}
+
+  // Collects the keys of the M2L pairs of `targets` and evaluates one
+  // tensor per key. Every thread of the enclosing parallel region must call
+  // it; it returns once the table is complete.
+  void build(const AdaptiveOctree& tree, const InteractionLists& lists,
+             const std::vector<int>& targets, OpTimers* timers) {
+    std::unordered_set<OffsetKey, OffsetKeyHash> local;
+    {
+      OpTimers::Scoped timer(timers, FmmOp::kM2L, 0);
+#pragma omp for schedule(dynamic, 16) nowait
+      for (std::size_t i = 0; i < targets.size(); ++i) {
+        const int id = targets[i];
+        const OctreeNode& dst = tree.node(id);
+        for (std::uint32_t e = lists.m2l_offset[id];
+             e < lists.m2l_offset[id + 1]; ++e) {
+          const OctreeNode& src = tree.node(lists.m2l_sources[e]);
+          ScaledOffset so;
+          if (scaled_offset(src, dst, dst.center - src.center, so))
+            local.insert(so.key);
+        }
+      }
+    }
+#pragma omp critical(afmm_offset_tensors)
+    for (const OffsetKey& key : local)
+      if (ids_.emplace(key, static_cast<int>(keys_.size())).second)
+        keys_.push_back(key);
+#pragma omp barrier
+#pragma omp single
+    {
+      limit_.resize(keys_.size());
+      T_.resize(keys_.size() * size_);
+    }
+    {
+      OpTimers::Scoped timer(timers, FmmOp::kM2L, 0);
+#pragma omp for schedule(dynamic, 8) nowait
+      for (std::size_t id = 0; id < limit_.size(); ++id) {
+        const auto& b = keys_[id].bits;
+        limit_[id] = derivs_.evaluate_rescalable(
+            {std::bit_cast<double>(b[0]), std::bit_cast<double>(b[1]),
+             std::bit_cast<double>(b[2])},
+            T_.data() + id * size_);
+      }
+    }
+#pragma omp barrier
+  }
+
+  // Writes the derivative tensor at dst - src into T.
+  void tensor(const OctreeNode& src, const OctreeNode& dst, double* T) const {
+    const Vec3 r = dst.center - src.center;
+    ScaledOffset so;
+    if (scaled_offset(src, dst, r, so)) {
+      const auto it = ids_.find(so.key);
+      if (it != ids_.end() && so.level <= limit_[it->second]) {
+        derivs_.rescale(T_.data() + it->second * size_, so.level, so.reflect,
+                        T);
+        return;
+      }
+    }
+    derivs_.evaluate(r, T);
+  }
+
+ private:
+  const LaplaceDerivatives& derivs_;
+  std::size_t size_;
+  std::unordered_map<OffsetKey, int, OffsetKeyHash> ids_;
+  std::vector<OffsetKey> keys_;  // by id
+  std::vector<int> limit_;       // by id: the largest level it serves, or -1
+  std::vector<double> T_;        // by id: size_ tensor entries
+};
+
 }  // namespace
 
 HarmonicFarField::HarmonicFarField(const FmmConfig& config)
@@ -28,6 +163,13 @@ void HarmonicFarField::evaluate(const AdaptiveOctree& tree,
 
   const int nc = ctx_.ncoef();
   const int nn = tree.num_nodes();
+  if (!tree.empty() &&
+      lists.m2l_offset.size() != static_cast<std::size_t>(nn) + 1)
+    throw std::invalid_argument(
+        "HarmonicFarField: lists.m2l_offset has " +
+        std::to_string(lists.m2l_offset.size()) +
+        " entries, the tree needs num_nodes() + 1 = " + std::to_string(nn + 1) +
+        " (lists built for another tree?)");
   const std::size_t per_node = static_cast<std::size_t>(nrhs) * nc;
   std::vector<double> M(per_node * nn, 0.0);
   std::vector<double> L(per_node * nn, 0.0);
@@ -75,21 +217,13 @@ void HarmonicFarField::evaluate(const AdaptiveOctree& tree,
     }
   };
 
-  // ---- down sweep: M2L + L2L at each node, L2P at effective leaves -------
+  // ---- down sweep: L2L at each node, L2P at effective leaves. Runs after
+  // the flat M2L phase, so each L already holds its M2L terms in list order
+  // when its finished parent's L2L arrives: the order of the recursive
+  // M2L-then-L2L pass, hence the same bits.
   auto downsweep = [&](auto&& self, int id) -> void {
     const OctreeNode& n = tree.node(id);
     if (n.count == 0) return;
-    {
-      const auto m2l_count = lists.m2l_offset[id + 1] - lists.m2l_offset[id];
-      OpTimers::Scoped timer(m2l_count ? timers : nullptr, FmmOp::kM2L,
-                             m2l_count);
-      for (std::uint32_t e = lists.m2l_offset[id];
-           e < lists.m2l_offset[id + 1]; ++e) {
-        const int src = lists.m2l_sources[e];
-        ctx_.m2l_multi(tree.node(src).center, n.center, mcoef(src, 0),
-                       lcoef(id, 0), nrhs, nc);
-      }
-    }
     if (n.parent >= 0) {
       OpTimers::Scoped timer(timers, FmmOp::kL2L);
       for (int r = 0; r < nrhs; ++r)
@@ -238,16 +372,51 @@ void HarmonicFarField::evaluate(const AdaptiveOctree& tree,
   };
 
   if (tree.empty()) return;
+
+  // ---- M2L, one flat phase: every target node's pairs in list order,
+  // target nodes dynamically scheduled across the threads.
+  std::vector<int> targets;
+  for (int id = 0; id < nn; ++id)
+    if (lists.m2l_offset[id + 1] > lists.m2l_offset[id]) targets.push_back(id);
+  OffsetTensors tensors(ctx_.derivatives());
+  auto m2l = [&](int id, double* T) {
+    const OctreeNode& n = tree.node(id);
+    const std::uint32_t begin = lists.m2l_offset[id];
+    const std::uint32_t end = lists.m2l_offset[id + 1];
+    OpTimers::Scoped timer(timers, FmmOp::kM2L, end - begin);
+    for (std::uint32_t e = begin; e < end; ++e) {
+      const int src = lists.m2l_sources[e];
+      tensors.tensor(tree.node(src), n, T);
+      ctx_.m2l_contract(T, mcoef(src, 0), lcoef(id, 0), nrhs, nc);
+    }
+  };
+
+  std::exception_ptr error;  // the first M2L failure, rethrown below
 #pragma omp parallel
-#pragma omp single
   {
-    upsweep(upsweep, tree.root());
-    if (sdc && (sdc->inject ||
-                (sdc->detect && (sdc->detect->expansion_checks ||
-                                 sdc->detect->expansion_reaggregation))))
-      sdc_guard([&](int id) { upsweep(upsweep, id); });
+    tensors.build(tree, lists, targets, timers);
+#pragma omp single
+    {
+      upsweep(upsweep, tree.root());
+      if (sdc && (sdc->inject ||
+                  (sdc->detect && (sdc->detect->expansion_checks ||
+                                   sdc->detect->expansion_reaggregation))))
+        sdc_guard([&](int id) { upsweep(upsweep, id); });
+    }
+    std::vector<double> T(ctx_.derivatives().set().size());
+#pragma omp for schedule(dynamic)
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      try {
+        m2l(targets[i], T.data());
+      } catch (...) {
+#pragma omp critical(afmm_far_field_error)
+        if (!error) error = std::current_exception();
+      }
+    }
+#pragma omp single
     downsweep(downsweep, tree.root());
   }
+  if (error) std::rethrow_exception(error);
 }
 
 SolveStats make_stats(const AdaptiveOctree& tree,

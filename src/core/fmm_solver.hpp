@@ -1,10 +1,15 @@
 // The adaptive FMM solvers.
 //
 // HarmonicFarField is the expansion engine: given a tree and one or more
-// scalar charge vectors ("right-hand sides"), it runs P2M -> M2M -> (M2L,
-// L2L) -> L2P with OpenMP tasks spawned per child and a taskwait at each
-// parent -- exactly the recursive pattern of the paper's Section III.B --
-// and returns potential + gradient per body for each rhs.
+// scalar charge vectors ("right-hand sides"), it runs P2M -> M2M, then M2L,
+// then L2L -> L2P, and returns potential + gradient per body for each rhs.
+// The upward and downward passes spawn OpenMP tasks per child with a
+// taskwait at each parent, the recursive pattern of the paper's Section
+// III.B. M2L runs between them as one flat loop over the target nodes,
+// dynamically scheduled, with one derivative tensor per distinct scaled
+// offset shared by the pairs it serves (DESIGN.md, far field). The machine
+// model (cpusched) still charges the paper's per-child task tree and
+// per-pair M2L cost.
 //
 // GravitySolver   : 1 rhs (masses); acceleration = G * gradient.
 // StokesletSolver : 4 rhs (f_x, f_y, f_z, y.f); velocities assembled via the

@@ -73,7 +73,7 @@ void contract(const M2LRows& m, int beta0, int r0) {
 ExpansionContext::ExpansionContext(int order)
     : p_(checked_order(order)),
       set_p_(order),
-      derivs_(MultiIndexSet(2 * order >= order + 1 ? 2 * order : order + 1)) {
+      derivs_(MultiIndexSet(2 * order)) {
 
   const int n = set_p_.size();
 
@@ -174,19 +174,24 @@ void ExpansionContext::m2m(const Vec3& from, const Vec3& to,
 void ExpansionContext::m2l_multi(const Vec3& src, const Vec3& dst,
                                  const double* M, double* L, int nrhs,
                                  int stride) const {
-  const int n = ncoef();
   thread_local std::vector<double> T;
-  thread_local std::vector<double> Ms;
   T.resize(set_q().size());
-  Ms.resize(static_cast<std::size_t>(n) * nrhs);
   derivs_.evaluate(dst - src, T.data());
+  m2l_contract(T.data(), M, L, nrhs, stride);
+}
+
+void ExpansionContext::m2l_contract(const double* T, const double* M,
+                                    double* L, int nrhs, int stride) const {
+  const int n = ncoef();
+  thread_local std::vector<double> Ms;
+  Ms.resize(static_cast<std::size_t>(n) * nrhs);
   for (int r = 0; r < nrhs; ++r) {
     const double* m = M + static_cast<std::ptrdiff_t>(r) * stride;
     for (int a = 0; a < n; ++a) Ms[r * n + a] = sign_[a] * m[a];
   }
   // Four independent chains per pass: the four rhs of one beta row while
   // four remain, then four beta rows of each remaining rhs.
-  const M2LRows rows{m2l_sum_.data(), T.data(), Ms.data(), L, n, stride};
+  const M2LRows rows{m2l_sum_.data(), T, Ms.data(), L, n, stride};
   int r = 0;
   for (; r + 4 <= nrhs; r += 4)
     for (int beta = 0; beta < n; ++beta) contract<1, 4>(rows, beta, r);

@@ -66,8 +66,18 @@ class ExpansionContext {
   // Convert `nrhs` multipoles about `src` into locals about `dst`, sharing
   // one derivative-tensor evaluation. Consecutive rhs lie `stride` doubles
   // apart (stride >= ncoef()); one expansion is m2l_multi(..., 1, ncoef()).
+  // Evaluates T at dst - src, then runs m2l_contract.
   void m2l_multi(const Vec3& src, const Vec3& dst, const double* M, double* L,
                  int nrhs, int stride) const;
+
+  // The contraction half of M2L: T is the derivative tensor at dst - src
+  // (derivatives().set().size() entries, as derivatives().evaluate fills
+  // it); M and L as in m2l_multi.
+  void m2l_contract(const double* T, const double* M, double* L, int nrhs,
+                    int stride) const;
+
+  // The derivative tensors of 1/|r| up to order 2p that M2L contracts.
+  const LaplaceDerivatives& derivatives() const { return derivs_; }
 
   // Shift parent local (about `from`) into child local (about `to`).
   void l2l(const Vec3& from, const Vec3& to, const double* Lparent,

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -404,6 +406,194 @@ TEST(Fmm, DeterministicAcrossRuns) {
   const auto b = solver.solve(tree, set.positions, set.masses);
   for (std::size_t i = 0; i < a.potential.size(); ++i)
     EXPECT_EQ(a.potential[i], b.potential[i]);
+}
+
+
+// Plummer bodies (radii up to 10 around the origin) scaled into a root cube
+// of half `root_half`, plus tight clusters that take the adaptive tree to
+// its depth cap of 21.
+void build_deep_plummer(double root_half, int seed, AdaptiveOctree& tree) {
+  Rng rng(50 + seed);
+  const double s = root_half / 12.0;
+  std::vector<Vec3> pos;
+  for (const Vec3& p : plummer(500, rng).positions) pos.push_back(p * s);
+  for (int c = 0; c < 4; ++c)
+    for (int i = 1; i <= 4; ++i)
+      pos.push_back(pos[c] + Vec3{3e-7 * i, -2e-7 * i, 1e-7 * i} * s);
+  TreeConfig tc;
+  tc.leaf_capacity = 3;
+  tc.max_depth = 21;
+  tc.root_center = {0.0, 0.0, 0.0};
+  tc.root_half = root_half;
+  tree.build(pos, tc);
+}
+
+std::vector<std::vector<double>> random_charges(std::size_t n, int nrhs,
+                                                Rng& rng) {
+  std::vector<std::vector<double>> q(nrhs, std::vector<double>(n));
+  for (auto& rhs : q)
+    for (double& v : rhs) v = rng.uniform(-1.0, 2.0);
+  return q;
+}
+
+bool same_bits(const std::vector<std::vector<PointValue>>& a,
+               const std::vector<std::vector<PointValue>>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    if (a[r].size() != b[r].size()) return false;
+    for (std::size_t i = 0; i < a[r].size(); ++i) {
+      const double x[4] = {a[r][i].potential, a[r][i].gradient.x,
+                           a[r][i].gradient.y, a[r][i].gradient.z};
+      const double y[4] = {b[r][i].potential, b[r][i].gradient.x,
+                           b[r][i].gradient.y, b[r][i].gradient.z};
+      if (std::memcmp(x, y, sizeof(x)) != 0) return false;
+    }
+  }
+  return true;
+}
+
+// The far field with its own derivative tensor per M2L pair
+// (ExpansionContext::m2l_multi), in one serial recursive pass that applies
+// every operator in HarmonicFarField's order: the reference the shared
+// tensor table must match bit for bit.
+std::vector<std::vector<PointValue>> far_field_per_pair(
+    const ExpansionContext& ctx, const AdaptiveOctree& tree,
+    const InteractionLists& lists, const std::vector<std::vector<double>>& q) {
+  const int nrhs = static_cast<int>(q.size());
+  const int nc = ctx.ncoef();
+  const std::size_t per_node = static_cast<std::size_t>(nrhs) * nc;
+  std::vector<double> M(per_node * tree.num_nodes(), 0.0);
+  std::vector<double> L(M.size(), 0.0);
+  auto mc = [&](int id, int r) { return M.data() + per_node * id + r * nc; };
+  auto lc = [&](int id, int r) { return L.data() + per_node * id + r * nc; };
+  const auto pos = tree.sorted_positions();
+  std::vector<std::vector<PointValue>> out(
+      nrhs, std::vector<PointValue>(tree.num_bodies()));
+
+  auto up = [&](auto&& self, int id) -> void {
+    const OctreeNode& n = tree.node(id);
+    if (n.count == 0) return;
+    if (tree.is_effective_leaf(id)) {
+      for (int r = 0; r < nrhs; ++r)
+        ctx.p2m(n.center, pos.data() + n.begin, q[r].data() + n.begin,
+                static_cast<int>(n.count), mc(id, r));
+      return;
+    }
+    for (int c : n.children) self(self, c);
+    for (int c : n.children) {
+      if (tree.node(c).count == 0) continue;
+      for (int r = 0; r < nrhs; ++r)
+        ctx.m2m(tree.node(c).center, n.center, mc(c, r), mc(id, r));
+    }
+  };
+  auto down = [&](auto&& self, int id) -> void {
+    const OctreeNode& n = tree.node(id);
+    if (n.count == 0) return;
+    for (auto e = lists.m2l_offset[id]; e < lists.m2l_offset[id + 1]; ++e) {
+      const int src = lists.m2l_sources[e];
+      ctx.m2l_multi(tree.node(src).center, n.center, mc(src, 0), lc(id, 0),
+                    nrhs, nc);
+    }
+    if (n.parent >= 0)
+      for (int r = 0; r < nrhs; ++r)
+        ctx.l2l(tree.node(n.parent).center, n.center, lc(n.parent, r),
+                lc(id, r));
+    if (tree.is_effective_leaf(id)) {
+      for (auto b = n.begin; b < n.begin + n.count; ++b)
+        for (int r = 0; r < nrhs; ++r)
+          out[r][b] = ctx.l2p(n.center, lc(id, r), pos[b]);
+      return;
+    }
+    for (int c : n.children) self(self, c);
+  };
+  up(up, tree.root());
+  down(down, tree.root());
+  return out;
+}
+
+TEST(Fmm, FarFieldIndependentOfThreadCount) {
+  // M2L runs as a dynamically scheduled loop over target nodes; each L
+  // must still get its terms in list order whichever thread runs it.
+  struct ThreadCountGuard {
+    int saved = omp_get_max_threads();
+    ~ThreadCountGuard() { omp_set_num_threads(saved); }
+  } guard;
+
+  AdaptiveOctree tree;
+  build_deep_plummer(12.0, 0, tree);
+  ASSERT_GE(tree.effective_depth(), 18);
+  const auto lists = build_interaction_lists(tree);
+  HarmonicFarField far(FmmConfig{});
+  Rng rng(60);
+  for (int nrhs : {1, 4}) {  // gravity; the four Stokeslet passes
+    const auto q = random_charges(tree.num_bodies(), nrhs, rng);
+    std::vector<std::vector<PointValue>> ref, out;
+    omp_set_num_threads(1);
+    far.evaluate(tree, lists, q, ref);
+    for (int threads : {2, 4}) {
+      omp_set_num_threads(threads);
+      far.evaluate(tree, lists, q, out);
+      EXPECT_TRUE(same_bits(ref, out))
+          << "nrhs=" << nrhs << " threads=" << threads;
+    }
+  }
+}
+
+TEST(Fmm, FarFieldTensorTableMatchesPerPairEvaluate) {
+  // The shared tensors are rescaled copies; every pair must still get the
+  // bits of its own evaluate(). At root half 12 (the benchmark's scale) the
+  // table serves the pairs with |level difference| <= 1; at 1e-150 and
+  // 1e150 the keys' recurrences leave the normal range, so every pair
+  // takes the fallback.
+  Rng rng(61);
+  for (const double root_half : {12.0, 1e-150, 1e150}) {
+    for (int order : {3, 5, 8}) {
+      if (root_half != 12.0 && order != 5) continue;
+      AdaptiveOctree tree;
+      build_deep_plummer(root_half, order, tree);
+      const auto lists = build_interaction_lists(tree);
+      FmmConfig cfg;
+      cfg.order = order;
+      HarmonicFarField far(cfg);
+      for (int nrhs : {1, 4}) {
+        const auto q = random_charges(tree.num_bodies(), nrhs, rng);
+        std::vector<std::vector<PointValue>> out;
+        far.evaluate(tree, lists, q, out);
+        EXPECT_TRUE(
+            same_bits(out, far_field_per_pair(far.context(), tree, lists, q)))
+            << "root_half=" << root_half << " p=" << order
+            << " nrhs=" << nrhs;
+      }
+    }
+  }
+}
+
+TEST(Fmm, FarFieldRejectsListsOfAnotherTree) {
+  Rng rng(62);
+  auto set = uniform_cube(300, rng, {0.5, 0.5, 0.5}, 0.5);
+  AdaptiveOctree fine, coarse;
+  fine.build(set.positions, unit_config(8));
+  coarse.build(set.positions, unit_config(60));
+  ASSERT_NE(fine.num_nodes(), coarse.num_nodes());
+  const auto q = random_charges(set.positions.size(), 1, rng);
+  HarmonicFarField far(FmmConfig{});
+  std::vector<std::vector<PointValue>> out;
+  try {
+    far.evaluate(coarse, build_interaction_lists(fine), q, out);
+    ADD_FAILURE() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("m2l_offset"), std::string::npos)
+        << e.what();
+  }
+
+  // A pair at zero offset (the root with itself) reaches the caller as
+  // evaluate()'s domain_error rather than aborting in the parallel region.
+  InteractionLists self;
+  self.m2l_offset.assign(fine.num_nodes() + 1, 1);
+  self.m2l_offset[fine.root()] = 0;
+  for (int id = 0; id < fine.root(); ++id) self.m2l_offset[id] = 0;
+  self.m2l_sources = {fine.root()};
+  EXPECT_THROW(far.evaluate(fine, self, q, out), std::domain_error);
 }
 
 }  // namespace

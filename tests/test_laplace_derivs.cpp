@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "expansion/laplace_derivs.hpp"
 #include "util/rng.hpp"
@@ -153,6 +156,97 @@ TEST(LaplaceDerivatives, ThrowsAtOrigin) {
   LaplaceDerivatives ld(set);
   std::vector<double> out(set.size());
   EXPECT_THROW(ld.evaluate({0, 0, 0}, out.data()), std::domain_error);
+}
+
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+Vec3 ldexp(const Vec3& k, int e) {
+  return {std::ldexp(k.x, e), std::ldexp(k.y, e), std::ldexp(k.z, e)};
+}
+
+TEST(LaplaceDerivatives, RescaleIsBitwiseExactWithinTheBound) {
+  // T(2^-l k) = 2^(l(|a|+1)) T(k) and T(-k) = (-1)^|a| T(k), bit for bit,
+  // for every level the bound admits. Keys are random (every component
+  // nonzero, so no entry is an exact zero whose sign could flip) and, for
+  // the scaling, lattice offsets like the far field's (multiples of the
+  // root half, zero components included).
+  Rng rng(7);
+  for (int q : {2, 10, 16, 32}) {
+    MultiIndexSet set(q);
+    LaplaceDerivatives ld(set);
+    std::vector<double> tk(set.size()), direct(set.size()), scaled(set.size());
+    int checked = 0;
+    for (int trial = 0; trial < 40; ++trial) {
+      const bool lattice = trial % 2 == 1;
+      Vec3 k;
+      for (int d = 0; d < 3; ++d) {
+        const double sign = rng.below(2) ? 1.0 : -1.0;
+        k[d] = lattice ? 12.0 * static_cast<double>(rng.below(9)) - 48.0
+                       : sign * rng.uniform(0.5, 64.0);
+      }
+      if (norm2(k) == 0.0) k.x = 12.0;
+      const int l = static_cast<int>(rng.below(22));
+      const int limit = ld.evaluate_rescalable(k, tk.data());
+      ld.evaluate(k, direct.data());
+      ASSERT_TRUE(same_bits(tk, direct)) << "q=" << q << " trial=" << trial;
+      // The benchmark's orders and key scale are served at every depth.
+      if (q <= 16) {
+        EXPECT_GE(limit, 21) << "q=" << q << " trial=" << trial;
+      }
+      if (l > limit) continue;
+      ++checked;
+      ld.evaluate(ldexp(k, -l), direct.data());
+      ld.rescale(tk.data(), l, false, scaled.data());
+      EXPECT_TRUE(same_bits(direct, scaled))
+          << "scale q=" << q << " l=" << l << " trial=" << trial;
+      if (lattice) continue;
+      ld.evaluate(-ldexp(k, -l), direct.data());
+      ld.rescale(tk.data(), l, true, scaled.data());
+      EXPECT_TRUE(same_bits(direct, scaled))
+          << "reflect q=" << q << " l=" << l << " trial=" << trial;
+    }
+    EXPECT_GT(checked, 10) << "q=" << q;
+  }
+}
+
+TEST(LaplaceDerivatives, RescaleBoundRejectsOutOfRangeKeys) {
+  const double inf = std::numeric_limits<double>::infinity();
+  {
+    // Q = 32 at depth 21 with a key at the benchmark's scale: |R^32_0| ~
+    // 63!! / |r|^65 overflows at r = 2^-21 k, so the direct tensor holds
+    // infinities the rescaled one does not. The bound must stop short.
+    MultiIndexSet set(32);
+    LaplaceDerivatives ld(set);
+    std::vector<double> tk(set.size()), direct(set.size()), scaled(set.size());
+    const Vec3 k{24.0, -12.0, 36.0};
+    const int limit = ld.evaluate_rescalable(k, tk.data());
+    EXPECT_GE(limit, 0);
+    EXPECT_LT(limit, 21);
+    ld.evaluate(ldexp(k, -21), direct.data());
+    ld.rescale(tk.data(), 21, false, scaled.data());
+    EXPECT_FALSE(same_bits(direct, scaled));
+  }
+  MultiIndexSet set(10);
+  LaplaceDerivatives ld(set);
+  std::vector<double> tk(set.size());
+  // k's own recurrence leaves the normal range: |k|^-21 overflows for tiny
+  // keys and underflows for huge ones (the far field at root half 1e-150
+  // and 1e150), or |k|^2 itself does.
+  for (const Vec3& k :
+       {Vec3{1e-150, 2e-150, 0.0}, Vec3{1e150, 0.0, -3e150},
+        Vec3{0x1p-520, 1.0, 1.0}, Vec3{0x1p520, 1.0, 1.0},
+        Vec3{0x1p60, 0x1p60, 0x1p60}})
+    EXPECT_EQ(ld.evaluate_rescalable(k, tk.data()), -1) << k.x;
+  // A tiny component whose square shrinks below 2^-1021 past level 10.
+  EXPECT_LE(ld.evaluate_rescalable({0x1p-500, 24.0, 12.0}, tk.data()), 10);
+  // Not a key at all.
+  for (const Vec3& k : {Vec3{0.0, 0.0, 0.0}, Vec3{inf, 1.0, 1.0},
+                        Vec3{std::nan(""), 1.0, 1.0}})
+    EXPECT_EQ(ld.evaluate_rescalable(k, tk.data()), -1);
 }
 
 }  // namespace
